@@ -3,7 +3,9 @@
 
 Prints front and field errors versus grid resolution for the three
 boundary families; this is where the 1% front / 2% field verification
-tolerances come from.
+tolerances come from.  The oracle's step follows its front (about
+dt_safety cells per step), so refining nx refines dx and dt together;
+the step count and the total Newton iterations show the cost.
 
 Usage: python scripts/oracle_convergence.py [t_end]
 """
@@ -33,7 +35,7 @@ def main():
     t_end = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
     print(f"t_end={t_end}, comparison window [{0.1 * t_end}, {t_end}]")
     print(f"{'case':>12} {'nx':>6} {'front_err':>10} {'field_err':>10} "
-          f"{'drift':>9} {'secs':>6}")
+          f"{'drift':>9} {'steps':>6} {'newton':>7} {'secs':>6}")
     for name, problem in CASES:
         sol = solve_front(problem)
         length = 4.0 * sol.front_position(t_end)
@@ -47,7 +49,8 @@ def main():
             print(f"{name:>12} {nx:>6} {report.max_front_err:>10.2e} "
                   f"{report.max_field_err:>10.2e} "
                   f"{result.energy_balance_drift:>9.1e} "
-                  f"{time.monotonic() - start:>6.1f}")
+                  f"{result.n_steps:>6} {result.newton_iterations:>7} "
+                  f"{time.monotonic() - start:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Fixed-grid enthalpy solver used as ground truth for the closed form.
 
 The scheme shares no code with the similarity solution: it integrates the
-heat equation explicitly on a cell-centered grid and tracks the melting
-front through a per-cell latent-heat budget.  Cell i (center x_i, width
-dx) carries a per-area heat content H_i; the first gamma * x_i**alpha * dx
-of it melts the cell (midpoint rule for the position-dependent latent
-heat) and the excess is sensible heat with volumetric capacity k/d.
+heat equation on a cell-centered grid and tracks the melting front
+through a per-cell latent-heat budget.  Cell i (center x_i, width dx)
+carries a per-area heat content H_i; the first lam_i = gamma * x_i**alpha
+* dx of it melts the cell (midpoint rule for the position-dependent latent
+heat) and the excess is sensible heat with volumetric capacity k/d, so the
+cell temperature is u(H_i) = (d / (k dx)) * max(H_i - lam_i, 0).
 Partially melted cells sit at the phase-change temperature 0, which also
 blocks conduction past the front, as befits a one-phase model.  The front
 position is the melted length: fully melted cells plus the liquid
@@ -18,14 +19,32 @@ initialization.  Set ``cold_start=True`` to start from an all-solid state
 instead (independent of the closed form, but with an initialization
 transient).
 
-Explicit stepping with dt = dt_safety * dx**2 / d; the update is
-conservative, so the energy-balance drift it reports measures bookkeeping
-consistency.
+Time stepping is backward Euler on the enthalpy,
+H - H_prev = dt * div F(u(H)), solved by semismooth Newton (the
+source-based linearisation of Voller & Swaminathan, Numer. Heat Transfer
+B 19, 1991).  Solid and partially melted cells have a zero Jacobian
+entry, so each Newton step is one tridiagonal (Thomas) solve on the
+melted block 0..m-1 plus a forward substitution for the front cell m.
+The block matrix is an M-matrix, so cells melted at the start of a step
+stay melted and the block only grows: a Newton step that melts cell m
+adds it to the block, and the iteration stops when a step leaves m
+unchanged, which makes the step exact up to round-off.  A step that
+needs more than a fixed number of iterations raises RuntimeError.
+Convective and temperature faces are implicit at the new time; a flux
+face lets in the exact time integral of its datum over the step.
+
+The step is dt = 2 * dt_safety * dx * t / max(s, dx) for the current
+oracle front s.  As s grows like sqrt(t), the front then crosses about
+dt_safety cells per step, so the step count grows linearly in nx, and a
+cold start (s = 0) grows t geometrically.  Steps are clipped to land on
+the snapshot times.  The update is conservative, so the energy-balance
+drift it reports measures bookkeeping consistency.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +59,12 @@ __all__ = [
     "compare_to_closed_form",
 ]
 
+# Newton iterations per time step before giving up.  Each iteration past
+# the first melts one more cell, so the cap bounds the cells one step may
+# melt.  The step rule keeps that near dt_safety; only the first steps of
+# a cold start on a fine grid come close.
+_MAX_NEWTON_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -47,13 +72,14 @@ class OracleConfig:
 
     domain_length should be at least ~4x the expected final front position
     so the zero-flux far end never matters; ``run_oracle`` raises if the
-    front gets close to it.
+    front gets close to it.  dt_safety is about the number of cells the
+    front crosses per time step; the time error shrinks with it.
     """
 
     domain_length: float
     t_end: float
     nx: int = 2000
-    dt_safety: float = 0.4
+    dt_safety: float = 0.2
     liquid_fraction_tol: float = 1e-10
     start_fraction: float = 0.01
     cold_start: bool = False
@@ -86,6 +112,8 @@ class OracleResult:
     front_positions: np.ndarray
     temperature_snapshots: tuple[tuple[float, np.ndarray], ...]
     energy_balance_drift: float
+    n_steps: int = 0
+    newton_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,34 +122,41 @@ class ComparisonReport:
     max_field_err: float
 
 
-def _boundary_flux(problem: ProblemSpec, dx: float):
-    """Inward heat flux through the fixed face as a function of time and
-    of the first cell's temperature (half-cell conduction included)."""
+def _face_inflow(problem: ProblemSpec, dx: float):
+    """Heat let in through the fixed face over the step from t to t + dt,
+    as (a, b) with inflow a - b * u0 for the first cell's temperature u0
+    at t + dt (half-cell conduction included)."""
     alpha, k = problem.alpha, problem.k
     b = problem.boundary
     if isinstance(b, Convective):
-        def q_in(t: float, u0: float) -> float:
-            resistance = math.sqrt(t) / b.h0 + dx / (2.0 * k)
-            return (b.t_inf * t ** (alpha / 2.0) - u0) / resistance
+        def inflow(t: float, dt: float) -> tuple[float, float]:
+            t1 = t + dt
+            resistance = math.sqrt(t1) / b.h0 + dx / (2.0 * k)
+            return dt * b.t_inf * t1 ** (alpha / 2.0) / resistance, dt / resistance
 
     elif isinstance(b, Temperature):
         conductance = 2.0 * k / dx
 
-        def q_in(t: float, u0: float) -> float:
-            return (b.t0 * t ** (alpha / 2.0) - u0) * conductance
+        def inflow(t: float, dt: float) -> tuple[float, float]:
+            return dt * conductance * b.t0 * (t + dt) ** (alpha / 2.0), dt * conductance
 
     else:
-        def q_in(t: float, u0: float) -> float:
-            return b.c * t ** ((alpha - 1.0) / 2.0)
+        p = (alpha + 1.0) / 2.0
 
-    return q_in
+        def inflow(t: float, dt: float) -> tuple[float, float]:
+            # integral of c * t**(p - 1) over [t, t + dt], free of cancellation
+            return b.c * t**p * math.expm1(p * math.log1p(dt / t)) / p, 0.0
+
+    return inflow
 
 
-def _front_position(H: np.ndarray, lam: np.ndarray, dx: float, tol: float) -> tuple[float, int]:
-    phi = np.clip(H / lam, 0.0, 1.0)
-    full = int(np.count_nonzero(phi >= 1.0 - tol))
-    partial = float(phi[full]) if full < phi.size else 0.0
-    return (full + partial) * dx, full
+def _temperature(H: np.ndarray, lam: np.ndarray, sens_scale: float) -> np.ndarray:
+    return np.maximum(H - lam, 0.0) * sens_scale
+
+
+def _check_room(m: int, nx: int, t: float) -> None:
+    if m >= nx - 2:
+        raise RuntimeError(f"front reached the domain end at t={t}; enlarge domain_length")
 
 
 def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
@@ -130,111 +165,110 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     nx = cfg.nx
     dx = cfg.domain_length / nx
     x_centers = (np.arange(nx) + 0.5) * dx
-    lam = problem.gamma * x_centers**problem.alpha * dx
-    heat_capacity = problem.k / problem.d  # per volume
+    lam_arr = problem.gamma * x_centers**problem.alpha * dx
+    heat_capacity = problem.k * dx / problem.d  # per area
     t0 = cfg.start_fraction * cfg.t_end
 
-    H = np.zeros(nx)
+    # Heat contents as Python lists: the Thomas sweeps below are scalar
+    # loops, which run faster on lists than on array elements.
+    lam = lam_arr.tolist()
+    H = [0.0] * nx
+    m = 0  # melted block 0..m-1, cell m partially melted, solid past it
     if not cfg.cold_start:
         sol = solve_front(problem)
         s0 = sol.front_position(t0)
-        if s0 >= cfg.domain_length - 2.0 * dx:
-            raise RuntimeError(
-                "initial front already at the domain end; enlarge domain_length"
-            )
-        n_full = int(s0 / dx)  # cells with right edge below s0
-        for i in range(n_full):
-            H[i] = lam[i] + heat_capacity * dx * sol.temperature(x_centers[i], t0)
-        if n_full < nx:
-            H[n_full] = (s0 / dx - n_full) * lam[n_full]
+        m = int(s0 / dx)  # cells with right edge below s0
+        _check_room(m, nx, t0)
+        for i in range(m):
+            H[i] = lam[i] + heat_capacity * sol.temperature(float(x_centers[i]), t0)
+        H[m] = (s0 / dx - m) * lam[m]
 
-    if cfg.start_fraction == 1.0:
-        n_steps = 0
-        dt = 0.0
-    else:
-        dt = cfg.dt_safety * dx * dx / problem.d
-        n_steps = max(1, math.ceil((cfg.t_end - t0) / dt))
-        dt = (cfg.t_end - t0) / n_steps
-
-    # Record schedules as step indices (0 = initial state).
-    def _steps_for(n: int) -> list[int]:
-        if n_steps == 0:
-            return [0]
-        targets = np.linspace(t0, cfg.t_end, n)
-        idx = np.rint((targets - t0) / dt).astype(int)
-        return sorted(set(int(i) for i in np.clip(idx, 0, n_steps)))
-
-    front_steps = _steps_for(cfg.n_front_records)
-    snap_steps = _steps_for(cfg.n_snapshots + 1)[1:] if n_steps else [0]
-
-    q_in = _boundary_flux(problem, dx)
+    inflow = _face_inflow(problem, dx)
     tol = cfg.liquid_fraction_tol
-    energy_start = float(H.sum())
+    energy_start = math.fsum(H)
     energy_in = 0.0
-
+    front_targets = np.linspace(t0, cfg.t_end, cfg.n_front_records).tolist()
+    snap_targets = np.linspace(t0, cfg.t_end, cfg.n_snapshots + 1)[1:].tolist()
     times: list[float] = []
     fronts: list[float] = []
     snapshots: list[tuple[float, np.ndarray]] = []
+    front_ptr = snap_ptr = 0
 
-    u = np.empty(nx)
-    qi = np.empty(nx - 1)
-    core = np.empty(nx - 2)
-    sens_scale = problem.d / (problem.k * dx)
-    k_over_dx = problem.k / dx
+    def front() -> float:
+        # the melted length: the block plus the liquid fraction of cell m
+        phi = H[m] / lam[m]
+        return (m + (1.0 if phi >= 1.0 - tol else phi)) * dx
 
-    def record(step: int) -> None:
-        t_now = t0 + step * dt
-        s_now, full = _front_position(H, lam, dx, tol)
-        if full >= nx - 2:
-            raise RuntimeError(
-                f"front reached the domain end at t={t_now}; enlarge domain_length"
-            )
-        times.append(t_now)
-        fronts.append(s_now)
+    def record(t: float) -> None:
+        # at most one record per step, once a target time is reached
+        nonlocal front_ptr, snap_ptr
+        due = bisect_right(front_targets, t)
+        if due > front_ptr:
+            times.append(t)
+            fronts.append(front())
+            front_ptr = due
+        due = bisect_right(snap_targets, t)
+        if due > snap_ptr:
+            snapshots.append((t, _temperature(np.array(H), lam_arr, 1.0 / heat_capacity)))
+            snap_ptr = due
 
-    front_ptr = 0
-    snap_ptr = 0
-    if front_steps[0] == 0:
-        record(0)
-        front_ptr = 1
-    if snap_steps and snap_steps[0] == 0:
-        np.clip(H, 0.0, lam, out=u)
-        np.subtract(H, u, out=u)
-        u *= sens_scale
-        snapshots.append((t0, u.copy()))
-        snap_ptr = 1
+    n_steps = 0
+    newton_iterations = 0
+    t = t0
+    record(t)
+    while t < cfg.t_end:
+        dt = 2.0 * cfg.dt_safety * dx * t / max(front(), dx)
+        t_new = min(t + dt, snap_targets[snap_ptr])
+        dt = t_new - t
+        a, b = inflow(t, dt)
+        rdt = problem.k / dx * dt  # interior face conductance times dt
+        # Semismooth Newton.  A step with melted block 0..m-1 solves
+        # heat_capacity*u_i + dt*(F_{i+1/2} - F_{i-1/2}) = H_i - lam_i, with
+        # u_m = 0, by a Thomas sweep (w: eliminated super-diagonal, v:
+        # swept right side, so u_{m-1} = v_{m-1}); the front cell m keeps
+        # u = 0 and takes what flows in.  If that melts it, the block grows
+        # by one row and the sweep continues where it stopped.
+        w: list[float] = []
+        v: list[float] = []
+        w_i = v_i = 0.0
+        iterations = 0
+        while True:
+            for i in range(len(v), m):
+                if i:
+                    pivot = heat_capacity + rdt * (2.0 - w_i)
+                    v_i = (H[i] - lam[i] + rdt * v_i) / pivot
+                else:
+                    pivot = heat_capacity + rdt + b
+                    v_i = (H[0] - lam[0] + a) / pivot
+                w_i = rdt / pivot
+                w.append(w_i)
+                v.append(v_i)
+            iterations += 1
+            h_front = H[m] + (rdt * v_i if m else a)
+            if h_front <= lam[m]:
+                break
+            if iterations == _MAX_NEWTON_ITERATIONS:
+                raise RuntimeError(
+                    f"Newton iteration stopped at its cap of {iterations}: one step "
+                    f"melted over {iterations - 1} cells at t={t_new}; lower "
+                    f"dt_safety or start_fraction"
+                )
+            m += 1
+            _check_room(m, nx, t_new)
+        H[m] = h_front
+        u = 0.0
+        for i in range(m - 1, -1, -1):
+            u = v[i] + w[i] * u
+            H[i] = lam[i] + heat_capacity * u
+        energy_in += a - b * u  # u is u_0 here, or 0 with no melted block
+        newton_iterations += iterations
+        n_steps += 1
+        t = t_new
+        record(t)
 
-    for step in range(n_steps):
-        t = t0 + step * dt
-        # sensible temperature from enthalpy
-        np.clip(H, 0.0, lam, out=u)
-        np.subtract(H, u, out=u)
-        u *= sens_scale
-        # interior face fluxes k (u_i - u_{i+1}) / dx
-        np.subtract(u[:-1], u[1:], out=qi)
-        qi *= k_over_dx
-        q0 = q_in(t, float(u[0]))
-        # conservative update
-        np.subtract(qi[:-1], qi[1:], out=core)
-        core *= dt
-        H[1:-1] += core
-        H[0] += dt * (q0 - qi[0])
-        H[-1] += dt * qi[-1]
-        energy_in += q0 * dt
-
-        done = step + 1
-        if front_ptr < len(front_steps) and done == front_steps[front_ptr]:
-            record(done)
-            front_ptr += 1
-        if snap_ptr < len(snap_steps) and done == snap_steps[snap_ptr]:
-            np.clip(H, 0.0, lam, out=u)
-            np.subtract(H, u, out=u)
-            u *= sens_scale
-            snapshots.append((t0 + done * dt, u.copy()))
-            snap_ptr += 1
-
+    energy_end = math.fsum(H)
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)
-    drift = abs(float(H.sum()) - energy_start - energy_in) / drift_scale
+    drift = abs(energy_end - energy_start - energy_in) / drift_scale
     return OracleResult(
         problem=problem,
         config=cfg,
@@ -243,6 +277,8 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         front_positions=np.asarray(fronts),
         temperature_snapshots=tuple(snapshots),
         energy_balance_drift=drift,
+        n_steps=n_steps,
+        newton_iterations=newton_iterations,
     )
 
 

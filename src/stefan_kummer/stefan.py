@@ -330,8 +330,10 @@ def solve_front(
     (found by doubling from [1e-8, 1]); any step that would leave the
     current bracket is replaced by bisection, so the proven monotonicity
     of the residual guarantees convergence.  Stops when the step falls
-    below ``abs_step_tol`` or the residual below 1e-12 * max(1, lhs),
-    whichever happens first after at least two iterations.
+    below ``abs_step_tol`` or the residual below 1e-12 * |lhs|, whichever
+    happens first after at least two iterations.  The residual test is
+    relative: lhs = nu**(alpha+1) can be far below 1, where an absolute
+    test accepts iterates far from the root.
     """
     if cfg is None:
         cfg = RootSolverConfig()
@@ -349,7 +351,7 @@ def solve_front(
             lo = x
         elif residual < 0.0:
             hi = x
-        lhs_scale = max(1.0, abs(residual + x ** (alpha + 1.0)))
+        lhs_scale = abs(residual + x ** (alpha + 1.0))
         if it >= 2 and abs(residual) <= _RESIDUAL_RTOL * lhs_scale:
             # Polish with the final Newton correction: the residual stop
             # alone can leave |F|/|F'| of slack in the root itself.
@@ -376,7 +378,7 @@ def solve_front(
             f"front-coefficient iteration did not converge in "
             f"{cfg.max_newton_iters} iterations (last residual {residual})"
         )
-    lhs_scale = max(1.0, abs(residual + x ** (alpha + 1.0)))
+    lhs_scale = abs(residual + x ** (alpha + 1.0))
     if abs(residual) > _RESIDUAL_RTOL * lhs_scale:
         raise NonConvergenceError(
             f"front-coefficient residual {residual} above tolerance at nu={x}"

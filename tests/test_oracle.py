@@ -176,3 +176,45 @@ def test_temperature_nonnegative_and_zero_beyond_front():
 def test_comparison_report_fields():
     report = ComparisonReport(max_front_err=0.1, max_field_err=0.2)
     assert report.max_front_err == 0.1 and report.max_field_err == 0.2
+
+
+def test_cell_melts_fully_within_one_step():
+    # A coarse cold start with the largest step: the first step melts more
+    # than one cell from solid, so Newton has to grow the melted block
+    # several times within that step.
+    sol = solve_front(FIG9)
+    cfg = OracleConfig(
+        domain_length=4.0 * sol.front_position(0.25),
+        t_end=0.25,
+        nx=50,
+        cold_start=True,
+        start_fraction=0.05,
+        dt_safety=0.5,
+        n_front_records=5000,  # denser than the steps: every step is recorded
+    )
+    result = run_oracle(FIG9, cfg)
+    dx = cfg.domain_length / cfg.nx
+    jumps = np.diff(result.front_positions)
+    assert len(result.times) == result.n_steps + 1
+    assert jumps.max() > dx
+    assert result.newton_iterations > result.n_steps
+    assert np.all(jumps >= 0.0)
+    for _, u in result.temperature_snapshots:
+        assert u.min() >= -1e-12
+    assert result.energy_balance_drift <= 1e-10
+
+
+def test_step_count_linear_in_nx():
+    # The step follows the front, about dt_safety cells per step, so
+    # doubling nx doubles the steps; an nx**2 schedule would quadruple them.
+    steps = [run_oracle(FIG9, short_config(FIG9, nx=nx)).n_steps for nx in (200, 400)]
+    assert steps[1] <= 2.5 * steps[0]
+
+
+def test_newton_cap_raises():
+    # A cold start late in the run on a fine grid: the first step melts
+    # hundreds of cells, one Newton iteration each, and meets the cap.
+    problem = ProblemSpec(alpha=2.0, boundary=Flux(c=1.0))
+    cfg = short_config(problem, t_end=1.0, nx=4000, cold_start=True, start_fraction=0.5)
+    with pytest.raises(RuntimeError, match="melted over"):
+        run_oracle(problem, cfg)

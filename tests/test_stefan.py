@@ -192,6 +192,17 @@ def test_solution_residual_invariant():
         assert abs(front_equation_residual(p, sol.nu)) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_residual_stop_is_relative_for_small_lhs():
+    # nu**(alpha+1) is near 1e-13 here, so a residual test scaled by
+    # max(1, lhs) accepts iterates far from the root (it stopped at 0.0676).
+    p = ProblemSpec(alpha=10.0, boundary=Convective(h0=1e-3, t_inf=1e-3), gamma=10.0, d=10.0)
+    sol = solve_front(p)
+    assert sol.nu == pytest.approx(0.0388428558, rel=1e-9)
+    assert abs(sol.nu - bisect_front(p)) <= 1e-12
+    lhs = front_equation_lhs(p, sol.nu)
+    assert abs(front_equation_residual(p, sol.nu)) <= 1e-12 * lhs
+
+
 def test_large_h0_approaches_imposed_temperature():
     conv = ProblemSpec(alpha=0.0, boundary=Convective(h0=1e8, t_inf=1.0))
     temp = ProblemSpec(alpha=0.0, boundary=Temperature(t0=1.0))

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 from .equivalence import (
     EquivalenceReport,
@@ -169,16 +170,9 @@ def _spec_payload(prefix: str, spec: ProblemSpec) -> dict:
         f"{prefix}_k": spec.k,
     }
     b = spec.boundary
-    if isinstance(b, Convective):
-        payload[f"{prefix}_family"] = "convective"
-        payload[f"{prefix}_h0"] = b.h0
-        payload[f"{prefix}_tinf"] = b.t_inf
-    elif isinstance(b, Temperature):
-        payload[f"{prefix}_family"] = "temperature"
-        payload[f"{prefix}_t0"] = b.t0
-    else:
-        payload[f"{prefix}_family"] = "flux"
-        payload[f"{prefix}_c"] = b.c
+    payload[f"{prefix}_family"] = type(b).__name__.lower()
+    for field in fields(b):
+        payload[f"{prefix}_{field.name.replace('_', '')}"] = getattr(b, field.name)
     return payload
 
 
@@ -233,13 +227,7 @@ def _cmd_sweep(opt: _Options) -> int:
             if h0 is None:
                 raise UsageError("sweep over tinf needs --h0")
             return _problem_from(opt, Convective(h0=h0, t_inf=value))
-        boundary = _build_boundary(
-            opt.get("h0"), opt.get("tinf"), opt.get("t0"), opt.get("c")
-        )
-        spec = _problem_from(opt, boundary)
-        return ProblemSpec(
-            alpha=value, boundary=spec.boundary, gamma=spec.gamma, d=spec.d, k=spec.k
-        )
+        return replace(_resolve_problem(opt), alpha=value)
 
     rows = []
     for value in values:
@@ -295,12 +283,11 @@ def _cmd_equiv(opt: _Options) -> int:
         tinf = opt.get("tinf")
         if tinf is None:
             raise UsageError("conversion to convective needs --tinf")
-        if isinstance(source.boundary, Temperature):
-            target = temperature_to_convective(source, tinf)
-        elif isinstance(source.boundary, Flux):
-            target = flux_to_convective(source, tinf)
-        else:
+        to_convective = {Temperature: temperature_to_convective,
+                         Flux: flux_to_convective}.get(type(source.boundary))
+        if to_convective is None:
             raise UsageError("source is already convective")
+        target = to_convective(source, tinf)
     report: EquivalenceReport = equivalence_report(source, target)
     payload = {
         "nu_source": report.nu_source,

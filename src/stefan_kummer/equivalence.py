@@ -3,10 +3,12 @@
 The three boundary variants are equivalent in the sense that, given a
 solved problem of one family, there is a boundary datum for another family
 whose solution has the same front coefficient and the same temperature
-field.  The datum of the target family is read off the solved source at
-the fixed face: the face temperature supplies the temperature datum, the
-face flux supplies the flux datum, and the convective datum is whatever
-transfer coefficient makes the convective balance hold.
+field.  Every family is one face relation p A + q J = g between the face
+temperature A = coeff_even and the face conduction
+J = k coeff_odd / (2 sqrt(d)) (see ``stefan``), so the datum of the target
+family is read off the solved source's (A, J): the temperature datum is A,
+the flux datum is -J, and the convective datum is h0 = J / (A - t_inf),
+the transfer coefficient that makes J = h0 (A - t_inf) hold.
 
 Each map solves its source internally, so a caller cannot pass a stale or
 wrong front coefficient.
@@ -15,9 +17,8 @@ wrong front coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .kummer import kummer_m
 from .stefan import (
     Convective,
     Flux,
@@ -52,12 +53,13 @@ def _require_family(problem: ProblemSpec, family, op: str) -> None:
                          f"{type(problem.boundary).__name__}")
 
 
-def _basis_at_front(problem: ProblemSpec, nu: float) -> tuple[float, float]:
-    z = -nu * nu
-    return (
-        kummer_m(-problem.alpha / 2.0, 0.5, z),
-        kummer_m(-problem.alpha / 2.0 + 0.5, 1.5, z),
-    )
+def _solved_face(
+    problem: ProblemSpec, family, op: str, cfg: RootSolverConfig | None
+) -> tuple[float, float]:
+    """Face temperature A and face conduction J of the solved source."""
+    _require_family(problem, family, op)
+    sol = solve_front(problem, cfg)
+    return sol.coeff_even, problem.k * sol.coeff_odd / (2.0 * math.sqrt(problem.d))
 
 
 def convective_to_temperature(
@@ -68,47 +70,8 @@ def convective_to_temperature(
     The datum is the solved face temperature coefficient u(0,t)/t^{alpha/2};
     it is always strictly below the bulk coefficient t_inf.
     """
-    _require_family(problem, Convective, "convective_to_temperature")
-    sol = solve_front(problem, cfg)
-    return ProblemSpec(
-        alpha=problem.alpha,
-        boundary=Temperature(t0=sol.coeff_even),
-        gamma=problem.gamma,
-        d=problem.d,
-        k=problem.k,
-    )
-
-
-def temperature_to_convective(
-    problem: ProblemSpec, t_inf: float, cfg: RootSolverConfig | None = None
-) -> ProblemSpec:
-    """Convective-family problem with the same solution as the temperature one.
-
-    Needs a bulk coefficient t_inf strictly above the face datum t0; at
-    t_inf = t0 the required transfer coefficient diverges.
-    """
-    _require_family(problem, Temperature, "temperature_to_convective")
-    t0 = problem.boundary.t0
-    if not (math.isfinite(t_inf) and t_inf > t0):
-        raise ValueError(
-            f"bulk coefficient t_inf={t_inf} must exceed the face datum "
-            f"t0={t0} (threshold {t0})"
-        )
-    sol = solve_front(problem, cfg)
-    m_even, m_odd = _basis_at_front(problem, sol.nu)
-    h0 = (
-        -problem.k
-        * t0
-        * m_even
-        / (2.0 * math.sqrt(problem.d) * (t0 - t_inf) * sol.nu * m_odd)
-    )
-    return ProblemSpec(
-        alpha=problem.alpha,
-        boundary=Convective(h0=h0, t_inf=t_inf),
-        gamma=problem.gamma,
-        d=problem.d,
-        k=problem.k,
-    )
+    a, _ = _solved_face(problem, Convective, "convective_to_temperature", cfg)
+    return replace(problem, boundary=Temperature(t0=a))
 
 
 def convective_to_flux(
@@ -119,28 +82,37 @@ def convective_to_flux(
     The datum is the solved inward face flux coefficient
     -k u_x(0,t)/t^{(alpha-1)/2}, which is positive for melting data.
     """
-    _require_family(problem, Convective, "convective_to_flux")
-    sol = solve_front(problem, cfg)
-    c = -problem.k * sol.coeff_odd / (2.0 * math.sqrt(problem.d))
-    return ProblemSpec(
-        alpha=problem.alpha,
-        boundary=Flux(c=c),
-        gamma=problem.gamma,
-        d=problem.d,
-        k=problem.k,
-    )
+    _, j = _solved_face(problem, Convective, "convective_to_flux", cfg)
+    return replace(problem, boundary=Flux(c=-j))
 
 
 def flux_threshold(problem: ProblemSpec, cfg: RootSolverConfig | None = None) -> float:
     """Smallest bulk coefficient compatible with a convective match of the
     given flux problem (the face temperature coefficient of its solution)."""
-    _require_family(problem, Flux, "flux_threshold")
-    sol = solve_front(problem, cfg)
-    m_even, m_odd = _basis_at_front(problem, sol.nu)
-    return (
-        2.0 * problem.boundary.c * math.sqrt(problem.d) / problem.k
-        * sol.nu * m_odd / m_even
-    )
+    return _solved_face(problem, Flux, "flux_threshold", cfg)[0]
+
+
+def _to_convective(
+    problem: ProblemSpec, t_inf: float, family, op: str, cfg: RootSolverConfig | None
+) -> ProblemSpec:
+    a, j = _solved_face(problem, family, op, cfg)
+    if not (math.isfinite(t_inf) and t_inf > a):
+        raise ValueError(
+            f"bulk coefficient t_inf={t_inf} must exceed the solved face "
+            f"temperature coefficient (threshold {a})"
+        )
+    return replace(problem, boundary=Convective(h0=j / (a - t_inf), t_inf=t_inf))
+
+
+def temperature_to_convective(
+    problem: ProblemSpec, t_inf: float, cfg: RootSolverConfig | None = None
+) -> ProblemSpec:
+    """Convective-family problem with the same solution as the temperature one.
+
+    Needs a bulk coefficient t_inf strictly above the face datum t0; at
+    t_inf = t0 the required transfer coefficient diverges.
+    """
+    return _to_convective(problem, t_inf, Temperature, "temperature_to_convective", cfg)
 
 
 def flux_to_convective(
@@ -152,27 +124,7 @@ def flux_to_convective(
     (see ``flux_threshold``); at the threshold the transfer coefficient
     diverges.
     """
-    _require_family(problem, Flux, "flux_to_convective")
-    sol = solve_front(problem, cfg)
-    m_even, m_odd = _basis_at_front(problem, sol.nu)
-    c = problem.boundary.c
-    sqrt_d = math.sqrt(problem.d)
-    threshold = 2.0 * c * sqrt_d / problem.k * sol.nu * m_odd / m_even
-    if not (math.isfinite(t_inf) and t_inf > threshold):
-        raise ValueError(
-            f"bulk coefficient t_inf={t_inf} must exceed the face "
-            f"temperature of the flux solution (threshold {threshold})"
-        )
-    h0 = -c * m_even / (
-        2.0 * c * sqrt_d / problem.k * sol.nu * m_odd - t_inf * m_even
-    )
-    return ProblemSpec(
-        alpha=problem.alpha,
-        boundary=Convective(h0=h0, t_inf=t_inf),
-        gamma=problem.gamma,
-        d=problem.d,
-        k=problem.k,
-    )
+    return _to_convective(problem, t_inf, Flux, "flux_to_convective", cfg)
 
 
 def equivalence_report(

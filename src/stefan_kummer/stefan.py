@@ -13,12 +13,22 @@ Each variant admits a similarity solution
 
     u(x, t) = t^{alpha/2} [ A M(-alpha/2, 1/2, -eta^2)
                             + B eta M(-alpha/2 + 1/2, 3/2, -eta^2) ],
-    s(t) = 2 nu sqrt(d t),      eta = x / (2 sqrt(d t)),
+    s(t) = 2 nu sqrt(d t),      eta = x / (2 sqrt(d t)).
 
-where the front coefficient nu is the unique positive root of a variant-
-specific transcendental equation.  ``solve_front`` finds nu with a
-bracketed, bisection-safeguarded Newton iteration and returns the fully
-determined closed form.
+Every face condition is one linear relation p A + q J = g between the
+face temperature A = u(0,t) t^{-alpha/2} and the face conduction
+J = k u_x(0,t) t^{(1-alpha)/2} = kappa B, kappa = k / (2 sqrt(d)).  The
+triple (p, q, g) is (h0, -1, h0 t_inf) for ``Convective``, (1, 0, t0) for
+``Temperature`` (the h0 -> inf limit) and (0, -1, c) for ``Flux`` (what
+h0 -> 0 with h0 t_inf fixed leaves).  With g_e = M(alpha/2+1/2, 1/2, x^2),
+g_o = x M(alpha/2+1, 3/2, x^2) and D = p g_o - q kappa g_e, the front
+condition is A g_e + B g_o = 0 at x = nu, and nu is the unique positive
+root of the one front equation
+
+    x^{alpha+1} = C g / D(x),      C = kappa / (gamma 2^alpha d^{(alpha+1)/2}).
+
+``solve_front`` finds nu with a bracketed, bisection-safeguarded Newton
+iteration and returns the fully determined closed form.
 
 Only the melting case is modelled (all data positive).  The freezing case
 maps onto it by flipping the signs of gamma and of the boundary datum, so
@@ -76,6 +86,10 @@ class Convective:
         _require_positive("h0", self.h0)
         _require_positive("t_inf", self.t_inf)
 
+    def face_relation(self) -> tuple[float, float, float]:
+        """(p, q, g) of the face relation p A + q J = g."""
+        return self.h0, -1.0, self.h0 * self.t_inf
+
 
 @dataclass(frozen=True)
 class Temperature:
@@ -86,6 +100,10 @@ class Temperature:
     def __post_init__(self):
         _require_positive("t0", self.t0)
 
+    def face_relation(self) -> tuple[float, float, float]:
+        """(p, q, g) of the face relation p A + q J = g."""
+        return 1.0, 0.0, self.t0
+
 
 @dataclass(frozen=True)
 class Flux:
@@ -95,6 +113,10 @@ class Flux:
 
     def __post_init__(self):
         _require_positive("c", self.c)
+
+    def face_relation(self) -> tuple[float, float, float]:
+        """(p, q, g) of the face relation p A + q J = g."""
+        return 0.0, -1.0, self.c
 
 
 Boundary = Convective | Temperature | Flux
@@ -149,57 +171,40 @@ class SolverReport:
     bracket: tuple[float, float]
 
 
-def _prefactor(problem: ProblemSpec) -> float:
-    """Constant multiplying the shape factor on the left of the front equation."""
-    alpha, gamma, d, k = problem.alpha, problem.gamma, problem.d, problem.k
-    b = problem.boundary
-    if isinstance(b, Convective):
-        return b.h0 * b.t_inf / (gamma * 2.0**alpha * d ** ((alpha + 1.0) / 2.0))
-    if isinstance(b, Temperature):
-        return k * b.t0 / (2.0 ** (alpha + 1.0) * d ** (alpha / 2.0 + 1.0) * gamma)
-    return b.c / (gamma * 2.0**alpha * d ** ((alpha + 1.0) / 2.0))
+def _front_lhs(
+    problem: ProblemSpec, x: float, slope: bool = True
+) -> tuple[float, float]:
+    """Left side C g / D(x) of the front equation and, when ``slope`` is set,
+    its x-derivative -lhs D'/D (else 0.0).
 
-
-def _shape_factor(problem: ProblemSpec, x: float) -> float:
-    """Decreasing factor f(x) in the front equation lhs = prefactor * f(x)."""
-    alpha, d, k = problem.alpha, problem.d, problem.k
-    z = x * x
-    b = problem.boundary
-    if isinstance(b, Convective):
-        denom = kummer_m(alpha / 2.0 + 0.5, 0.5, z) + (
-            2.0 * math.sqrt(d) * b.h0 / k
-        ) * x * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
-    elif isinstance(b, Temperature):
-        denom = x * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
-    else:
-        denom = kummer_m(alpha / 2.0 + 0.5, 0.5, z)
-    return 1.0 / denom
-
-
-def _shape_factor_derivative(problem: ProblemSpec, x: float) -> float:
-    """d/dx of the shape factor, via d/dz M(a,b,z) = (a/b) M(a+1,b+1,z) and
-    d/dx [x M(a, 3/2, x^2)] = M(a, 1/2, x^2)."""
-    alpha, d, k = problem.alpha, problem.d, problem.k
-    z = x * x
-    f = _shape_factor(problem, x)
-    b = problem.boundary
-    if isinstance(b, Convective):
-        inner = 2.0 * (alpha + 1.0) * x * kummer_m(alpha / 2.0 + 1.5, 1.5, z) + (
-            2.0 * math.sqrt(d) * b.h0 / k
-        ) * kummer_m(alpha / 2.0 + 1.0, 0.5, z)
-    elif isinstance(b, Temperature):
-        inner = kummer_m(alpha / 2.0 + 1.0, 0.5, z)
-    else:
-        inner = 2.0 * (alpha + 1.0) * x * kummer_m(alpha / 2.0 + 1.5, 1.5, z)
-    return -f * f * inner
+    D' = p M(alpha/2+1, 1/2, x^2) - q kappa 2 (alpha+1) x M(alpha/2+3/2, 3/2, x^2)
+    follows from d/dz M(a,b,z) = (a/b) M(a+1,b+1,z) and
+    d/dx [x M(a, 3/2, x^2)] = M(a, 1/2, x^2).  The series whose coefficient
+    is 0 are not summed.  The slope is formed from the ratio D'/D because
+    D**2 overflows where D alone does not.
+    """
+    alpha, gamma, d = problem.alpha, problem.gamma, problem.d
+    p, q, g = problem.boundary.face_relation()
+    kappa = problem.k / (2.0 * math.sqrt(d))
+    a, z = alpha / 2.0, x * x
+    denom = ddenom = 0.0
+    if p:
+        denom += p * x * kummer_m(a + 1.0, 1.5, z)
+        if slope:
+            ddenom += p * kummer_m(a + 1.0, 0.5, z)
+    if q:
+        denom -= q * kappa * kummer_m(a + 0.5, 0.5, z)
+        if slope:
+            ddenom -= q * kappa * 2.0 * (alpha + 1.0) * x * kummer_m(a + 1.5, 1.5, z)
+    lhs = kappa / (gamma * 2.0**alpha * d ** ((alpha + 1.0) / 2.0)) * g / denom
+    return lhs, (-lhs * (ddenom / denom) if slope else 0.0)
 
 
 def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
-    """Left-hand side of the variant's front equation, a strictly
+    """Left-hand side C g / D(x) of the front equation, a strictly
     decreasing function of x > 0."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive, got {x}")
-    return _prefactor(problem) * _shape_factor(problem, x)
+    _require_positive("x", x)
+    return _front_lhs(problem, x, slope=False)[0]
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:
@@ -209,55 +214,57 @@ def front_equation_residual(problem: ProblemSpec, x: float) -> float:
 
 def residual_derivative(problem: ProblemSpec, x: float) -> float:
     """Derivative of ``front_equation_residual`` in x (negative for x > 0)."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive, got {x}")
-    alpha = problem.alpha
-    return _prefactor(problem) * _shape_factor_derivative(problem, x) - (
-        alpha + 1.0
-    ) * x**alpha
+    _require_positive("x", x)
+    return _front_lhs(problem, x)[1] - (problem.alpha + 1.0) * x**problem.alpha
 
 
-def _find_bracket(problem: ProblemSpec, cfg: RootSolverConfig) -> tuple[float, float]:
-    lo = 1e-8
-    if not front_equation_residual(problem, lo) > 0.0:
-        raise BracketNotFoundError(
-            f"residual not positive at x={lo}; problem data admits no melting front"
-        )
-    hi = 1.0
-    while front_equation_residual(problem, hi) > 0.0:
-        lo = hi
-        hi *= cfg.bracket_growth
-        if hi > cfg.max_bracket:
+def _find_bracket(
+    problem: ProblemSpec, cfg: RootSolverConfig
+) -> tuple[float, float, float, float]:
+    """Sign-change bracket (lo, hi) of the residual and the residuals there,
+    searched geometrically from x = 1 towards the side that holds the root.
+
+    For admissible data lhs(0+) is positive (or infinite) while
+    x**(alpha+1) -> 0, so the residual is positive near 0 and a downward
+    search can only fail by underflow.
+    """
+    x, f = 1.0, front_equation_residual(problem, 1.0)
+    up = f > 0.0
+    while True:
+        x_next = x * cfg.bracket_growth if up else x / cfg.bracket_growth
+        if up and x_next > cfg.max_bracket:
             raise BracketNotFoundError(
                 f"no sign change of the front equation below x={cfg.max_bracket}"
             )
-    return lo, hi
+        if x_next ** (problem.alpha + 1.0) == 0.0:
+            raise BracketNotFoundError(
+                f"front equation underflows: no sign change above x={x}, where "
+                "x**(alpha+1) is at the end of the double-precision range"
+            )
+        f_next = front_equation_residual(problem, x_next)
+        if (f_next > 0.0) != up:
+            return (x, x_next, f, f_next) if up else (x_next, x, f_next, f)
+        x, f = x_next, f_next
 
 
 def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
-    """Series coefficients (even, odd) that satisfy the boundary condition
-    and zero temperature at the front."""
-    alpha, d, k = problem.alpha, problem.d, problem.k
-    z = -nu * nu
-    m_even = kummer_m(-alpha / 2.0, 0.5, z)
-    m_odd = kummer_m(-alpha / 2.0 + 0.5, 1.5, z)
-    if m_even <= 0.0:
-        raise NonConvergenceError(
-            f"even basis function nonpositive ({m_even}) at nu={nu}; "
-            "solution coefficients are not defined"
-        )
-    b = problem.boundary
-    if isinstance(b, Convective):
-        denom = k * m_even + 2.0 * math.sqrt(d) * b.h0 * nu * m_odd
-        coeff_odd = -2.0 * b.h0 * math.sqrt(d) * b.t_inf * m_even / denom
-        coeff_even = -nu * m_odd / m_even * coeff_odd
-    elif isinstance(b, Temperature):
-        coeff_even = b.t0
-        coeff_odd = -b.t0 * m_even / (nu * m_odd)
-    else:
-        coeff_odd = -2.0 * b.c * math.sqrt(d) / k
-        coeff_even = -nu * m_odd / m_even * coeff_odd
-    return coeff_even, coeff_odd
+    """Series coefficients (even A, odd B) from the face relation
+    p A + q kappa B = g and zero temperature at the front, A g_e + B g_o = 0.
+
+    g_e and g_o are exp(nu^2) times the basis functions at the front,
+    summed at positive argument, so both are sums of positive terms.
+    """
+    alpha = problem.alpha
+    p, q, g = problem.boundary.face_relation()
+    kappa = problem.k / (2.0 * math.sqrt(problem.d))
+    z = nu * nu
+    g_o = nu * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
+    r = kummer_m(alpha / 2.0 + 0.5, 0.5, z) / g_o
+    if p:
+        coeff_even = g / (p - q * kappa * r)
+        return coeff_even, -coeff_even * r
+    coeff_odd = g / (q * kappa)
+    return -coeff_odd / r, coeff_odd
 
 
 @dataclass(frozen=True)
@@ -282,18 +289,19 @@ class SimilaritySolution:
 
     def front_speed(self, t: float) -> float:
         """ds/dt = nu sqrt(d / t)."""
-        if t <= 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
+        _require_positive("t", t)
         return self.nu * math.sqrt(self.problem.d / t)
+
+    def _eta(self, x: float, t: float) -> float:
+        _require_positive("t", t)
+        if x < 0.0:
+            raise ValueError(f"x must be >= 0, got {x}")
+        return x / (2.0 * math.sqrt(self.problem.d * t))
 
     def temperature(self, x: float, t: float) -> float:
         """Similarity temperature at (x, t), t > 0."""
-        if t <= 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
-        if x < 0.0:
-            raise ValueError(f"x must be >= 0, got {x}")
         alpha = self.problem.alpha
-        eta = x / (2.0 * math.sqrt(self.problem.d * t))
+        eta = self._eta(x, t)
         z = -eta * eta
         return t ** (alpha / 2.0) * (
             self.coeff_even * kummer_m(-alpha / 2.0, 0.5, z)
@@ -304,12 +312,8 @@ class SimilaritySolution:
         """Spatial derivative of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
-        if t <= 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
-        if x < 0.0:
-            raise ValueError(f"x must be >= 0, got {x}")
         alpha = self.problem.alpha
-        eta = x / (2.0 * math.sqrt(self.problem.d * t))
+        eta = self._eta(x, t)
         z = -eta * eta
         return (
             t ** ((alpha - 1.0) / 2.0)
@@ -326,54 +330,47 @@ def solve_front(
 ) -> SimilaritySolution:
     """Solve the variant's front equation for nu and assemble the closed form.
 
-    Newton's iteration starts from the midpoint of a sign-change bracket
-    (found by doubling from [1e-8, 1]); any step that would leave the
-    current bracket is replaced by bisection, so the proven monotonicity
-    of the residual guarantees convergence.  Stops when the step falls
-    below ``abs_step_tol`` or the residual below 1e-12 * |lhs|, whichever
-    happens first after at least two iterations.  The residual test is
-    relative: lhs = nu**(alpha+1) can be far below 1, where an absolute
-    test accepts iterates far from the root.
+    Newton's iteration starts from the false-position point of a
+    sign-change bracket, found by growing or shrinking x geometrically from
+    1; any step that would leave the current bracket is replaced by
+    bisection, so the proven monotonicity of the residual guarantees
+    convergence.  Each iterate's residual and slope come from one set of
+    series values.  Stops when the step falls below
+    ``abs_step_tol * min(1, x)`` or the residual below 1e-12 * |lhs|,
+    whichever happens first after at least two iterations.
+    Both tests are relative below x = 1: lhs = nu**(alpha+1) can be far
+    below 1, where absolute tests accept iterates far from the root.
     """
     if cfg is None:
         cfg = RootSolverConfig()
-    lo, hi = _find_bracket(problem, cfg)
+    lo, hi, f_lo, f_hi = _find_bracket(problem, cfg)
     bracket = (lo, hi)
     alpha = problem.alpha
-    x = 0.5 * (lo + hi)
-    iterations = 0
-    converged = False
-    residual = math.inf
-    for it in range(1, cfg.max_newton_iters + 1):
-        iterations = it
-        residual = front_equation_residual(problem, x)
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for iterations in range(1, cfg.max_newton_iters + 1):
+        lhs, slope = _front_lhs(problem, x)
+        residual = lhs - x ** (alpha + 1.0)
+        slope -= (alpha + 1.0) * x**alpha
         if residual > 0.0:
             lo = x
         elif residual < 0.0:
             hi = x
-        lhs_scale = abs(residual + x ** (alpha + 1.0))
-        if it >= 2 and abs(residual) <= _RESIDUAL_RTOL * lhs_scale:
-            # Polish with the final Newton correction: the residual stop
-            # alone can leave |F|/|F'| of slack in the root itself.
-            slope = residual_derivative(problem, x)
-            if slope < 0.0:
-                trial = x - residual / slope
-                if lo < trial < hi:
-                    x = trial
-                    residual = front_equation_residual(problem, x)
-            converged = True
-            break
-        slope = residual_derivative(problem, x)
-        trial = x - residual / slope if slope < 0.0 else 0.5 * (lo + hi)
+        small = iterations >= 2 and abs(residual) <= _RESIDUAL_RTOL * abs(lhs)
+        trial = x - residual / slope if slope < 0.0 else math.nan
         if not (lo < trial < hi):
+            if small:
+                break
             trial = 0.5 * (lo + hi)
         step = abs(trial - x)
         x = trial
-        if it >= 2 and step < cfg.abs_step_tol:
+        # On the residual stop this is a polish with the final Newton
+        # correction: the stop alone can leave |F|/|F'| of slack in the root.
+        if small or (iterations >= 2 and step < cfg.abs_step_tol * min(1.0, x)):
             residual = front_equation_residual(problem, x)
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"front-coefficient iteration did not converge in "
             f"{cfg.max_newton_iters} iterations (last residual {residual})"

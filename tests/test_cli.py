@@ -43,6 +43,19 @@ def test_solve_temperature_variant_classical_root(tmp_path):
     assert abs(payload["nu"] - ref) <= 1e-12
 
 
+def test_solve_large_front_coefficient(tmp_path):
+    # nu**2 is above 200 here: the coefficients are summed at positive
+    # argument, past the range of the negative-argument series.
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--alpha", "40", "--c", "1", "--d", "1e-9",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    # mpmath at 30 digits: 14.75440921673254440.
+    assert payload["nu"] == pytest.approx(14.75440921673254440, rel=1e-13)
+    assert payload["coeff_odd"] == pytest.approx(-2.0 * math.sqrt(1e-9), rel=1e-14)
+    assert payload["coeff_even"] > 0.0
+
+
 def test_solve_missing_boundary_datum_exits_2(capsys):
     assert run(["solve", "--alpha", "0.4"]) == 2
     record = json.loads(capsys.readouterr().err)

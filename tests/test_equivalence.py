@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +149,13 @@ def test_round_trips_close_property(alpha, h0):
     via_flux = flux_to_convective(convective_to_flux(p), 1.0)
     assert via_temp.boundary.h0 == pytest.approx(h0, rel=1e-8)
     assert via_flux.boundary.h0 == pytest.approx(h0, rel=1e-8)
+
+
+def test_maps_read_the_solved_face_values():
+    flux = ProblemSpec(alpha=2.0, boundary=Flux(c=1.0), gamma=0.7, d=1.9, k=0.4)
+    assert flux_threshold(flux) == solve_front(flux).coeff_even
+    conv = ProblemSpec(alpha=1.3, boundary=Convective(h0=2.0, t_inf=1.5), d=0.6, k=3.0)
+    sol = solve_front(conv)
+    assert convective_to_temperature(conv).boundary.t0 == sol.coeff_even
+    conduction = conv.k * sol.coeff_odd / (2.0 * math.sqrt(conv.d))
+    assert convective_to_flux(conv).boundary.c == -conduction

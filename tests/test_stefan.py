@@ -235,6 +235,93 @@ def test_bracket_failure_reported():
         solve_front(p, RootSolverConfig(max_bracket=2.0))
 
 
+# Fixed nu < 1e-8 probes: a lower bracket pinned at 1e-8 rejected each as
+# "admits no melting front".
+SMALL_NU_SPECS = [
+    ProblemSpec(alpha=0.0, boundary=Convective(h0=1e-6, t_inf=1e-6)),
+    ProblemSpec(alpha=0.5, boundary=Convective(h0=1e-8, t_inf=1e-8)),
+    ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e-18)),
+    ProblemSpec(alpha=0.0, boundary=Flux(c=1e-10)),
+]
+
+
+def _mp_condition_residuals(mp, sol):
+    """Relative face, front and Stefan residuals of a solution, evaluated
+    in extended precision from the family's own boundary condition."""
+    p, b = sol.problem, sol.problem.boundary
+    alpha, gamma, d, k = (mp.mpf(v) for v in (p.alpha, p.gamma, p.d, p.k))
+    nu, a, bb = mp.mpf(sol.nu), mp.mpf(sol.coeff_even), mp.mpf(sol.coeff_odd)
+    conduction = k * bb / (2 * mp.sqrt(d))
+    if isinstance(b, Convective):
+        h0, t_inf = mp.mpf(b.h0), mp.mpf(b.t_inf)
+        face = abs(conduction - h0 * (a - t_inf)) / (abs(conduction) + h0 * t_inf)
+    elif isinstance(b, Temperature):
+        face = abs(a - b.t0) / b.t0
+    else:
+        face = abs(conduction + b.c) / b.c
+    z = -nu * nu
+    even = a * mp.hyp1f1(-alpha / 2, 0.5, z)
+    odd = bb * nu * mp.hyp1f1(-alpha / 2 + 0.5, 1.5, z)
+    front = abs(even + odd) / (abs(even) + abs(odd))
+    # Stefan condition at t = 1: -k u_x(s, 1) = gamma s**alpha s'(1).
+    u_x = (a * alpha * nu * mp.hyp1f1(1 - alpha / 2, 1.5, z)
+           + bb / 2 * mp.hyp1f1(0.5 - alpha / 2, 0.5, z)) / mp.sqrt(d)
+    rhs = gamma * (2 * nu * mp.sqrt(d)) ** alpha * nu * mp.sqrt(d)
+    stefan = abs(-k * u_x - rhs) / rhs
+    return float(face), float(front), float(stefan)
+
+
+def test_small_front_coefficients_solve():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for p in SMALL_NU_SPECS:
+            sol = solve_front(p)
+            assert 0.0 < sol.nu < 1e-8, p
+            assert max(_mp_condition_residuals(mp, sol)) <= 1e-9, p
+
+
+def test_small_lhs_case_within_iteration_budget():
+    p = ProblemSpec(alpha=10.0, boundary=Convective(h0=1e-3, t_inf=1e-3), gamma=10.0, d=10.0)
+    assert solve_front(p).solver_report.iterations <= 25
+
+
+def test_temperature_family_face_coefficient_exact():
+    for t0 in (1.0, 0.3, 7.25, 1e-18):
+        for alpha in (0.0, 0.4, 3.0):
+            p = ProblemSpec(alpha=alpha, boundary=Temperature(t0=t0))
+            assert solve_front(p).coeff_even == t0
+
+
+def test_face_relation_holds_for_each_family():
+    for p in SAMPLE_SPECS:
+        sol = solve_front(p)
+        pp, q, g = p.boundary.face_relation()
+        conduction = p.k * sol.coeff_odd / (2.0 * math.sqrt(p.d))
+        assert pp * sol.coeff_even + q * conduction == pytest.approx(g, rel=1e-12)
+
+
+def test_series_evaluation_budget(monkeypatch):
+    import stefan_kummer.stefan as stefan
+
+    calls = []
+    real = stefan.kummer_m
+
+    def counting(a, b, z):
+        calls.append(z)
+        return real(a, b, z)
+
+    monkeypatch.setattr(stefan, "kummer_m", counting)
+    cases = [
+        (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 28),
+        (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 14),
+        (ProblemSpec(alpha=2.0, boundary=Flux(c=1.0)), 13),
+    ]
+    for p, budget in cases:
+        calls.clear()
+        solve_front(p)
+        assert len(calls) <= budget, (p, len(calls))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         RootSolverConfig(abs_step_tol=0.0)

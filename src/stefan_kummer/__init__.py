@@ -20,6 +20,7 @@ from .kummer import (
     gamma_fn,
     iterated_erfc,
     kummer_m,
+    kummer_m_array,
     kummer_m_derivative,
 )
 from .limits import LimitStudy, field_convergence_gap, limit_problem, run_limit_study
@@ -80,6 +81,7 @@ __all__ = [
     "gamma_fn",
     "iterated_erfc",
     "kummer_m",
+    "kummer_m_array",
     "kummer_m_derivative",
     "limit_problem",
     "residual_derivative",

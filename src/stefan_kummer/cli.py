@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import islice, repeat
+
+import numpy as np
 
 from .equivalence import (
     EquivalenceReport,
@@ -140,14 +144,13 @@ def _check_format(opt: _Options, required: str) -> None:
         raise UsageError(f"this command emits {required}, not {fmt}")
 
 
-def _fmt_num(value) -> str:
-    return repr(int(value)) if isinstance(value, int) else repr(float(value))
+def _require_positive_flag(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"{flag} must be a positive finite number, got {value}")
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt_num(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -237,7 +240,7 @@ def _cmd_sweep(opt: _Options) -> int:
         row = [value, solve_front(spec).nu]
         if include_limit:
             row.append(solve_front(limit_problem(spec)).nu)
-        rows.append(row)
+        rows.append(",".join(repr(float(v)) for v in row))
     header = "param,nu,nu_infinity" if include_limit else "param,nu"
     _write_output(_csv_text(header, rows), opt.get("out", cast=str))
     return 0
@@ -249,22 +252,30 @@ def _cmd_field(opt: _Options) -> int:
     tmax = opt.get("tmax", 1.0)
     nx = int(opt.get("nx", 50, cast=int))
     nt = int(opt.get("nt", 50, cast=int))
-    if tmax <= 0.0 or nx < 2 or nt < 1:
-        raise UsageError("field needs --tmax > 0, --nx >= 2, --nt >= 1")
+    _require_positive_flag("--tmax", tmax)
+    if nx < 2 or nt < 1:
+        raise UsageError("field needs --nx >= 2, --nt >= 1")
     xmax = opt.get("xmax", 1.2 * sol.front_position(tmax))
-    if xmax <= 0.0:
-        raise UsageError("--xmax must be positive")
-    rows = []
-    for i in range(1, nt + 1):
-        t = tmax * i / nt
-        s_t = sol.front_position(t)
-        for j in range(nx):
-            x = xmax * j / (nx - 1)
-            melted = x < s_t
-            psi = sol.temperature(x, t) if melted else 0.0
-            rows.append([x, t, psi, s_t, int(melted)])
+    _require_positive_flag("--xmax", xmax)
+    xs = [xmax * j / (nx - 1) for j in range(nx)]
+    ts = [tmax * i / nt for i in range(1, nt + 1)]
+    x, t = np.array(xs), np.array(ts)
+    s_of_t = sol.front_position(t)
+    # x ascends, so the melted points x < s(t) of a time row are a prefix
+    # of it; their temperatures come in row order from one evaluation.
+    melted = x < s_of_t[:, None]
+    rows, cols = np.nonzero(melted)
+    psi_text = map(repr, sol.temperature(x[cols], t[rows]).tolist())
+    x_text = [repr(v) for v in xs]
+    lines: list[str] = []
+    for t_i, s_i, n_melted in zip(ts, s_of_t.tolist(), melted.sum(axis=1).tolist()):
+        t_text, s_text = f",{t_i!r},", f",{s_i!r},"
+        lines.extend(map("".join, zip(x_text[:n_melted], repeat(t_text),
+                                      islice(psi_text, n_melted), repeat(s_text + "1"))))
+        solid = f"{t_text}0.0{s_text}0"
+        lines.extend(x_j + solid for x_j in x_text[n_melted:])
     _write_output(
-        _csv_text("x,t,psi,s_of_t,melted_flag", rows), opt.get("out", cast=str)
+        _csv_text("x,t,psi,s_of_t,melted_flag", lines), opt.get("out", cast=str)
     )
     return 0
 
@@ -306,10 +317,11 @@ def _cmd_verify(opt: _Options) -> int:
     t_end = opt.get("t_end", 1.0)
     nx = int(opt.get("nx_oracle", 2000, cast=int))
     tol = opt.get("tol", 1e-2)
-    if t_end <= 0.0 or tol <= 0.0:
-        raise UsageError("verify needs --t-end > 0 and --tol > 0")
+    _require_positive_flag("--t-end", t_end)
+    _require_positive_flag("--tol", tol)
     sol = solve_front(problem)
     domain_length = opt.get("domain_length", 4.0 * sol.front_position(t_end))
+    _require_positive_flag("--domain-length", domain_length)
     cfg = OracleConfig(domain_length=domain_length, t_end=t_end, nx=nx)
     result = run_oracle(problem, cfg)
     # Skip the first decade of the run: the comparison targets propagation

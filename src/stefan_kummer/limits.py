@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .stefan import (
     Convective,
     ProblemSpec,
@@ -81,8 +83,7 @@ def field_convergence_gap(
         raise ValueError(f"h0 must be positive, got {h0}")
     sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)), cfg)
     sol_inf = solve_front(limit_problem(base), cfg)
-    gap = 0.0
-    for t in ts:
-        for x in xs:
-            gap = max(gap, abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)))
-    return gap
+    x = np.asarray(xs, dtype=float)
+    t = np.asarray(ts, dtype=float)[:, None]
+    gap = np.abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)).max(initial=0.0)
+    return float(gap)

@@ -42,7 +42,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, kummer_m
+import numpy as np
+
+from .kummer import (
+    NonConvergenceError,
+    e_n,
+    f_n,
+    float_map,
+    gamma_fn,
+    kummer_m,
+    kummer_m_array,
+)
 
 __all__ = [
     "BracketNotFoundError",
@@ -267,12 +277,31 @@ def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
     return -coeff_odd / r, coeff_odd
 
 
+def _power(t, p: float):
+    """t**p, through float pow element by element for an array t (see
+    ``float_map``)."""
+    return float_map(lambda v: v**p, t) if isinstance(t, np.ndarray) else t**p
+
+
+def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{name} must be {what}, got {values[~ok][0]}")
+
+
 @dataclass(frozen=True)
 class SimilaritySolution:
     """Solved closed form: front coefficient plus field evaluators.
 
+    ``front_position``, ``temperature`` and ``temperature_flux`` take floats
+    or numpy arrays.  Floats give a float, summed with ``kummer_m``.  When
+    x or t is an array, x and t broadcast against each other, every element
+    is checked, and the whole grid costs one ``kummer_m_array`` call per
+    basis function; the result is an array of the broadcast shape.
+
     ``temperature`` evaluates the similarity formula as written, also for
     x > s(t); callers that want the physical field mask those points to 0.
+    It raises ValueError where eta**2 = x**2 / (4 d t) exceeds 200 (eta
+    about 14.1), the end of the series' range.
     """
 
     problem: ProblemSpec
@@ -281,10 +310,13 @@ class SimilaritySolution:
     coeff_odd: float
     solver_report: SolverReport
 
-    def front_position(self, t: float) -> float:
-        """s(t) = 2 nu sqrt(d t)."""
-        if t < 0.0:
-            raise ValueError(f"t must be >= 0, got {t}")
+    def front_position(self, t):
+        """s(t) = 2 nu sqrt(d t) for finite t >= 0."""
+        if isinstance(t, np.ndarray):
+            _require_all("t", t, np.isfinite(t) & (t >= 0.0), "a finite real >= 0")
+            return 2.0 * self.nu * np.sqrt(self.problem.d * t)
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"t must be a finite real >= 0, got {t}")
         return 2.0 * self.nu * math.sqrt(self.problem.d * t)
 
     def front_speed(self, t: float) -> float:
@@ -292,35 +324,42 @@ class SimilaritySolution:
         _require_positive("t", t)
         return self.nu * math.sqrt(self.problem.d / t)
 
-    def _eta(self, x: float, t: float) -> float:
+    def _eta(self, x, t):
+        """eta = x / (2 sqrt(d t)), t, and the Kummer function for the
+        argument kind: ``kummer_m_array`` when x or t is an array."""
+        if isinstance(x, np.ndarray) or isinstance(t, np.ndarray):
+            x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+            _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
+            _require_all("x", x, ~(x < 0.0), ">= 0")
+            return x / (2.0 * np.sqrt(self.problem.d * t)), t, kummer_m_array
         _require_positive("t", t)
         if x < 0.0:
             raise ValueError(f"x must be >= 0, got {x}")
-        return x / (2.0 * math.sqrt(self.problem.d * t))
+        return x / (2.0 * math.sqrt(self.problem.d * t)), t, kummer_m
 
-    def temperature(self, x: float, t: float) -> float:
+    def temperature(self, x, t):
         """Similarity temperature at (x, t), t > 0."""
         alpha = self.problem.alpha
-        eta = self._eta(x, t)
+        eta, t, m = self._eta(x, t)
         z = -eta * eta
-        return t ** (alpha / 2.0) * (
-            self.coeff_even * kummer_m(-alpha / 2.0, 0.5, z)
-            + self.coeff_odd * eta * kummer_m(-alpha / 2.0 + 0.5, 1.5, z)
+        return _power(t, alpha / 2.0) * (
+            self.coeff_even * m(-alpha / 2.0, 0.5, z)
+            + self.coeff_odd * eta * m(-alpha / 2.0 + 0.5, 1.5, z)
         )
 
-    def temperature_flux(self, x: float, t: float) -> float:
+    def temperature_flux(self, x, t):
         """Spatial derivative of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
         alpha = self.problem.alpha
-        eta = self._eta(x, t)
+        eta, t, m = self._eta(x, t)
         z = -eta * eta
         return (
-            t ** ((alpha - 1.0) / 2.0)
+            _power(t, (alpha - 1.0) / 2.0)
             / math.sqrt(self.problem.d)
             * (
-                self.coeff_even * alpha * eta * kummer_m(-alpha / 2.0 + 1.0, 1.5, z)
-                + 0.5 * self.coeff_odd * kummer_m(-alpha / 2.0 + 0.5, 0.5, z)
+                self.coeff_even * alpha * eta * m(-alpha / 2.0 + 1.0, 1.5, z)
+                + 0.5 * self.coeff_odd * m(-alpha / 2.0 + 0.5, 0.5, z)
             )
         )
 

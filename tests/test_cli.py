@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stefan_kummer import ProblemSpec, Convective, Temperature, solve_front
+from stefan_kummer import ProblemSpec, Convective, Flux, Temperature, solve_front
 from stefan_kummer.cli import main
 
 from _oracles import bisect, bisect_front, classical_stefan_residual
@@ -210,6 +210,59 @@ def test_field_face_rows_satisfy_convective_balance(tmp_path):
 def test_field_bad_grid_exits_2():
     assert run(["field", *FIG9_ARGS, "--nx", "1"]) == 2
     assert run(["field", *FIG9_ARGS, "--tmax", "-1"]) == 2
+
+
+FIELD_FAMILIES = [
+    (FIG9_ARGS, ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))),
+    (["--alpha", "2.7", "--t0", "3.3", "--gamma", "0.4", "--d", "2.1", "--k", "0.7"],
+     ProblemSpec(alpha=2.7, boundary=Temperature(t0=3.3), gamma=0.4, d=2.1, k=0.7)),
+    (["--alpha", "0", "--c", "0.05"], ProblemSpec(alpha=0.0, boundary=Flux(c=0.05))),
+]
+
+
+@pytest.mark.parametrize("args,problem", FIELD_FAMILIES)
+def test_field_matches_pointwise_reference(tmp_path, args, problem):
+    # The grid is evaluated in one array call; the reference here goes
+    # point by point through the float evaluators.
+    out = tmp_path / "field.csv"
+    nx, nt, tmax = 40, 30, 3.7
+    assert run(["field", *args, "--nx", str(nx), "--nt", str(nt),
+                "--tmax", repr(tmax), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    sol = solve_front(problem)
+    xmax = 1.2 * sol.front_position(tmax)
+    expected = []
+    for i in range(1, nt + 1):
+        t = tmax * i / nt
+        s_t = sol.front_position(t)
+        for j in range(nx):
+            x = xmax * j / (nx - 1)
+            melted = x < s_t
+            psi = sol.temperature(x, t) if melted else 0.0
+            expected.append((repr(x), repr(t), psi, repr(s_t), str(int(melted))))
+    assert len(rows) == len(expected)
+    scale = max(abs(row[2]) for row in expected)
+    assert 0 < sum(row[4] == "1" for row in expected) < len(expected)
+    for (x, t, psi, s_t, flag), (x_ref, t_ref, psi_ref, s_ref, flag_ref) in zip(rows, expected):
+        assert (x, t, s_t, flag) == (x_ref, t_ref, s_ref, flag_ref)
+        assert abs(float(psi) - psi_ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["field", "--tmax", "nan"], "--tmax"),
+    (["field", "--tmax", "inf"], "--tmax"),
+    (["field", "--xmax", "nan"], "--xmax"),
+    (["field", "--xmax", "inf"], "--xmax"),
+    (["verify", "--t-end", "nan"], "--t-end"),
+    (["verify", "--tol", "nan"], "--tol"),
+    (["verify", "--domain-length", "nan"], "--domain-length"),
+    (["verify", "--domain-length", "inf"], "--domain-length"),
+])
+def test_nonfinite_flag_exits_2_naming_it(capsys, args, flag):
+    assert run([*args, *FIG9_ARGS]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "usage"
+    assert flag in record["detail"]
 
 
 # ---- equiv ----

@@ -159,3 +159,21 @@ def test_maps_read_the_solved_face_values():
     assert convective_to_temperature(conv).boundary.t0 == sol.coeff_even
     conduction = conv.k * sol.coeff_odd / (2.0 * math.sqrt(conv.d))
     assert convective_to_flux(conv).boundary.c == -conduction
+
+
+def test_equivalence_report_matches_pointwise_reference():
+    # The report evaluates its grid in one array call per solution; the
+    # reference loops over the points with the float evaluators.
+    target = convective_to_flux(FIG9)
+    nx, nt, t_lo, t_hi = 20, 5, 0.3, 4.0
+    rep = equivalence_report(FIG9, target, nx=nx, nt=nt, t_span=(t_lo, t_hi))
+    sol_s, sol_t = solve_front(FIG9), solve_front(target)
+    gap = scale = 0.0
+    for i in range(nt):
+        t = t_lo + (t_hi - t_lo) * (i + 1.0) / nt
+        s_t = sol_s.front_position(t)
+        for j in range(nx):
+            x = s_t * (j + 0.5) / nx
+            gap = max(gap, abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)))
+            scale = max(scale, abs(sol_s.temperature(x, t)))
+    assert abs(rep.max_temperature_gap - gap) <= 1e-13 * scale

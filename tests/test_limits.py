@@ -121,3 +121,24 @@ def test_field_gap_rejects_nonpositive_h0():
     base = ProblemSpec(alpha=0.4, boundary=Convective(h0=1.0, t_inf=1.0))
     with pytest.raises(ValueError):
         field_convergence_gap(base, 0.0, (0.1,), (1.0,))
+
+
+def test_field_gap_matches_pointwise_reference():
+    # One array call per solution against a loop over the float evaluators.
+    base = ProblemSpec(alpha=1.3, boundary=Convective(h0=2.0, t_inf=3.0), d=0.7)
+    xs = [0.15 * j for j in range(20)]
+    ts = [0.5, 1.0, 2.5, 6.0]
+    gap = field_convergence_gap(base, 4.0, xs, ts)
+    sol_h = solve_front(ProblemSpec(alpha=1.3, boundary=Convective(h0=4.0, t_inf=3.0), d=0.7))
+    sol_inf = solve_front(limit_problem(base))
+    ref = max(abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)) for t in ts for x in xs)
+    scale = max(abs(sol_inf.temperature(x, t)) for t in ts for x in xs)
+    assert ref > 0.0
+    assert abs(gap - ref) <= 1e-13 * scale
+
+
+def test_field_gap_beyond_series_range_raises():
+    # eta = x / (2 sqrt(d t)) = 15 is past the series' eta of about 14.1
+    base = ProblemSpec(alpha=0.4, boundary=Convective(h0=1.0, t_inf=1.0))
+    with pytest.raises(ValueError):
+        field_convergence_gap(base, 2.0, (0.1, 30.0), (1.0,))

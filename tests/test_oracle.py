@@ -31,6 +31,11 @@ def short_config(problem, t_end=0.25, nx=200, **kwargs):
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(domain_length=0.0, t_end=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OracleConfig(domain_length=bad, t_end=1.0)
+        with pytest.raises(ValueError):
+            OracleConfig(domain_length=1.0, t_end=bad)
     with pytest.raises(ValueError):
         OracleConfig(domain_length=1.0, t_end=1.0, nx=10)
     with pytest.raises(ValueError):

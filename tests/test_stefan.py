@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -457,6 +458,10 @@ def test_evaluator_domain_errors():
     with pytest.raises(ValueError):
         sol.front_position(-1.0)
     with pytest.raises(ValueError):
+        sol.front_position(math.nan)
+    with pytest.raises(ValueError):
+        sol.front_position(math.inf)
+    with pytest.raises(ValueError):
         sol.front_speed(0.0)
 
 
@@ -550,3 +555,41 @@ def test_integer_alpha_rejects_non_convective():
     p = ProblemSpec(alpha=1.0, boundary=Temperature(t0=1.0))
     with pytest.raises(ValueError):
         front_equation_integer_alpha(p, 0.5)
+
+
+@pytest.mark.parametrize("problem", [
+    FIG9,
+    ProblemSpec(alpha=2.7, boundary=Temperature(t0=3.3), gamma=0.4, d=2.1, k=0.7),
+    ProblemSpec(alpha=0.0, boundary=Flux(c=0.05)),
+])
+def test_array_evaluators_match_float_evaluators(problem):
+    sol = solve_front(problem)
+    t = np.array([0.01, 0.3, 1.0, 7.5])[:, None]
+    x = np.linspace(0.0, 1.5 * sol.front_position(0.01), 30)
+    for method in (sol.temperature, sol.temperature_flux):
+        grid = method(x, t)
+        assert grid.shape == (4, 30)
+        ref = [[method(float(xj), float(ti)) for xj in x] for ti in t[:, 0]]
+        assert np.array_equal(grid, ref)
+    s = sol.front_position(t[:, 0])
+    assert s.tolist() == [sol.front_position(float(ti)) for ti in t[:, 0]]
+    # float arguments keep giving Python floats
+    assert type(sol.temperature(0.1, 1.0)) is float
+    assert type(sol.front_position(1.0)) is float
+
+
+def test_array_evaluator_domain_errors():
+    sol = solve_front(FIG9)
+    with pytest.raises(ValueError):
+        sol.temperature(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        sol.temperature(np.array([0.1, -0.2]), 1.0)
+    with pytest.raises(ValueError):
+        sol.temperature_flux(0.1, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        sol.front_position(np.array([1.0, math.inf]))
+    with pytest.raises(ValueError):
+        sol.front_position(np.array([-1.0]))
+    # past eta = sqrt(200) the series raises, as for a float argument
+    with pytest.raises(ValueError):
+        sol.temperature(np.array([0.0, 30.0]), 1.0)

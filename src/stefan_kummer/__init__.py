@@ -36,7 +36,6 @@ from .stefan import (
     Convective,
     Flux,
     ProblemSpec,
-    RootSolverConfig,
     SimilaritySolution,
     SolverReport,
     Temperature,
@@ -61,7 +60,6 @@ __all__ = [
     "OracleConfig",
     "OracleResult",
     "ProblemSpec",
-    "RootSolverConfig",
     "SimilaritySolution",
     "SolverReport",
     "Temperature",

@@ -410,14 +410,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: the parser holds no per-call state, and building
+# it costs as much as a small field grid.
+_PARSER = _build_parser()
+
+
 def _error_record(kind: str, detail: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

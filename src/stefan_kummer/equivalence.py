@@ -25,7 +25,6 @@ from .stefan import (
     Convective,
     Flux,
     ProblemSpec,
-    RootSolverConfig,
     Temperature,
     solve_front,
 )
@@ -55,49 +54,41 @@ def _require_family(problem: ProblemSpec, family, op: str) -> None:
                          f"{type(problem.boundary).__name__}")
 
 
-def _solved_face(
-    problem: ProblemSpec, family, op: str, cfg: RootSolverConfig | None
-) -> tuple[float, float]:
+def _solved_face(problem: ProblemSpec, family, op: str) -> tuple[float, float]:
     """Face temperature A and face conduction J of the solved source."""
     _require_family(problem, family, op)
-    sol = solve_front(problem, cfg)
+    sol = solve_front(problem)
     return sol.coeff_even, problem.k * sol.coeff_odd / (2.0 * math.sqrt(problem.d))
 
 
-def convective_to_temperature(
-    problem: ProblemSpec, cfg: RootSolverConfig | None = None
-) -> ProblemSpec:
+def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:
     """Temperature-family problem with the same solution as the convective one.
 
     The datum is the solved face temperature coefficient u(0,t)/t^{alpha/2};
     it is always strictly below the bulk coefficient t_inf.
     """
-    a, _ = _solved_face(problem, Convective, "convective_to_temperature", cfg)
+    a, _ = _solved_face(problem, Convective, "convective_to_temperature")
     return replace(problem, boundary=Temperature(t0=a))
 
 
-def convective_to_flux(
-    problem: ProblemSpec, cfg: RootSolverConfig | None = None
-) -> ProblemSpec:
+def convective_to_flux(problem: ProblemSpec) -> ProblemSpec:
     """Flux-family problem with the same solution as the convective one.
 
     The datum is the solved inward face flux coefficient
     -k u_x(0,t)/t^{(alpha-1)/2}, which is positive for melting data.
     """
-    _, j = _solved_face(problem, Convective, "convective_to_flux", cfg)
+    _, j = _solved_face(problem, Convective, "convective_to_flux")
     return replace(problem, boundary=Flux(c=-j))
 
 
-def flux_threshold(problem: ProblemSpec, cfg: RootSolverConfig | None = None) -> float:
+def flux_threshold(problem: ProblemSpec) -> float:
     """Smallest bulk coefficient compatible with a convective match of the
     given flux problem (the face temperature coefficient of its solution)."""
-    return _solved_face(problem, Flux, "flux_threshold", cfg)[0]
+    return _solved_face(problem, Flux, "flux_threshold")[0]
 
 
-def _to_convective(
-    problem: ProblemSpec, t_inf: float, family, op: str, cfg: RootSolverConfig | None
-) -> ProblemSpec:
-    a, j = _solved_face(problem, family, op, cfg)
+def _to_convective(problem: ProblemSpec, t_inf: float, family, op: str) -> ProblemSpec:
+    a, j = _solved_face(problem, family, op)
     if not (math.isfinite(t_inf) and t_inf > a):
         raise ValueError(
             f"bulk coefficient t_inf={t_inf} must exceed the solved face "
@@ -106,27 +97,23 @@ def _to_convective(
     return replace(problem, boundary=Convective(h0=j / (a - t_inf), t_inf=t_inf))
 
 
-def temperature_to_convective(
-    problem: ProblemSpec, t_inf: float, cfg: RootSolverConfig | None = None
-) -> ProblemSpec:
+def temperature_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
     """Convective-family problem with the same solution as the temperature one.
 
     Needs a bulk coefficient t_inf strictly above the face datum t0; at
     t_inf = t0 the required transfer coefficient diverges.
     """
-    return _to_convective(problem, t_inf, Temperature, "temperature_to_convective", cfg)
+    return _to_convective(problem, t_inf, Temperature, "temperature_to_convective")
 
 
-def flux_to_convective(
-    problem: ProblemSpec, t_inf: float, cfg: RootSolverConfig | None = None
-) -> ProblemSpec:
+def flux_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
     """Convective-family problem with the same solution as the flux one.
 
     Needs t_inf strictly above the solved face temperature coefficient
     (see ``flux_threshold``); at the threshold the transfer coefficient
     diverges.
     """
-    return _to_convective(problem, t_inf, Flux, "flux_to_convective", cfg)
+    return _to_convective(problem, t_inf, Flux, "flux_to_convective")
 
 
 def equivalence_report(
@@ -135,12 +122,11 @@ def equivalence_report(
     nx: int = 20,
     nt: int = 20,
     t_span: tuple[float, float] = (0.1, 2.0),
-    cfg: RootSolverConfig | None = None,
 ) -> EquivalenceReport:
     """Solve both problems and measure the largest temperature mismatch on
     an nx-by-nt grid spanning the melted region of the source."""
-    sol_s = solve_front(source, cfg)
-    sol_t = solve_front(target, cfg)
+    sol_s = solve_front(source)
+    sol_t = solve_front(target)
     t_lo, t_hi = t_span
     t = t_lo + (t_hi - t_lo) * (np.arange(nt) + 1.0) / nt
     x = sol_s.front_position(t)[:, None] * (np.arange(nx) + 0.5) / nx

@@ -1,9 +1,9 @@
 """Double-precision special functions used by the melting-front solver.
 
 Provides the confluent hypergeometric function M(a, b, z) of the first
-kind, its z-derivative, the gamma function, the complementary error
-function, and the repeated integrals i^n erfc used by the integer-exponent
-closed forms.
+kind, its z-derivative, checked wrappers of ``math.gamma`` and
+``math.erfc``, and the repeated integrals i^n erfc used by the
+integer-exponent closed forms.
 
 ``kummer_m`` takes floats only.  ``kummer_m_array`` sums the same series
 for scalar (a, b) over a numpy array of arguments z, with the same domain
@@ -189,104 +189,15 @@ def kummer_m_derivative(a: float, b: float, z: float) -> float:
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
 
 
-# Lanczos approximation, g = 7, nine terms.  Relative error below 1e-13
-# for positive real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments (Lanczos approximation).
+    """Gamma function for finite x > 0 (``math.gamma``).
 
-    Only x > 0 is supported; the call sites in this package use positive
-    integers and half-integers, so the reflection formula is omitted.
+    The call sites in this package use positive integers and
+    half-integers; other arguments raise ValueError.
     """
-    if not math.isfinite(x) or x <= 0.0:
+    if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # Shift into the Lanczos range via Gamma(x) = Gamma(x+1)/x.
-        return gamma_fn(x + 1.0) / x
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-# Rational approximations for erf/erfc after W. J. Cody, Math. Comp. 23
-# (1969) 631-637; the same coefficient sets used by the classic netlib
-# implementations.  Relative error below 1e-15 in double precision.
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERFC_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERFC_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-
-
-def _erf_small(y: float) -> float:
-    # |y| <= 0.46875
-    ysq = y * y
-    xnum = _ERF_A[4] * ysq
-    xden = ysq
-    for i in range(3):
-        xnum = (xnum + _ERF_A[i]) * ysq
-        xden = (xden + _ERF_B[i]) * ysq
-    return y * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
+    return math.gamma(x)
 
 
 def _exp_neg_sq(y: float) -> float:
@@ -296,41 +207,11 @@ def _exp_neg_sq(y: float) -> float:
     return math.exp(-yt * yt) * math.exp(-(y - yt) * (y + yt))
 
 
-def _erfc_mid(y: float) -> float:
-    # 0.46875 <= y <= 4
-    xnum = _ERFC_C[8] * y
-    xden = y
-    for i in range(7):
-        xnum = (xnum + _ERFC_C[i]) * y
-        xden = (xden + _ERFC_D[i]) * y
-    return _exp_neg_sq(y) * (xnum + _ERFC_C[7]) / (xden + _ERFC_D[7])
-
-
-def _erfc_large(y: float) -> float:
-    # y > 4
-    ysq = 1.0 / (y * y)
-    xnum = _ERFC_P[5] * ysq
-    xden = ysq
-    for i in range(4):
-        xnum = (xnum + _ERFC_P[i]) * ysq
-        xden = (xden + _ERFC_Q[i]) * ysq
-    result = ysq * (xnum + _ERFC_P[4]) / (xden + _ERFC_Q[4])
-    return _exp_neg_sq(y) * (INV_SQRT_PI - result) / y
-
-
 def erfc(z: float) -> float:
-    """Complementary error function."""
+    """Complementary error function for finite z (``math.erfc``)."""
     if not math.isfinite(z):
         raise ValueError("erfc argument must be finite")
-    if z < 0.0:
-        return 2.0 - erfc(-z)
-    if z < 0.46875:
-        return 1.0 - _erf_small(z)
-    if z <= 4.0:
-        return _erfc_mid(z)
-    if z > 26.6:
-        return 0.0  # underflows double precision
-    return _erfc_large(z)
+    return math.erfc(z)
 
 
 def iterated_erfc(n: int, z: float) -> float:

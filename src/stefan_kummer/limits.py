@@ -16,7 +16,6 @@ import numpy as np
 from .stefan import (
     Convective,
     ProblemSpec,
-    RootSolverConfig,
     Temperature,
     solve_front,
 )
@@ -45,11 +44,7 @@ def limit_problem(base: ProblemSpec) -> ProblemSpec:
     return replace(base, boundary=Temperature(t0=boundary.t_inf))
 
 
-def run_limit_study(
-    base: ProblemSpec,
-    h0_grid: Sequence[float],
-    cfg: RootSolverConfig | None = None,
-) -> LimitStudy:
+def run_limit_study(base: ProblemSpec, h0_grid: Sequence[float]) -> LimitStudy:
     """Front coefficients along an ascending h0 grid plus the limit value."""
     boundary = _require_convective(base)
     grid = tuple(float(h) for h in h0_grid)
@@ -58,12 +53,9 @@ def run_limit_study(
     if any(h <= 0.0 for h in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("h0_grid must be positive and strictly ascending")
     nu_values = tuple(
-        solve_front(
-            replace(base, boundary=replace(boundary, h0=h)), cfg
-        ).nu
-        for h in grid
+        solve_front(replace(base, boundary=replace(boundary, h0=h))).nu for h in grid
     )
-    nu_infinity = solve_front(limit_problem(base), cfg).nu
+    nu_infinity = solve_front(limit_problem(base)).nu
     return LimitStudy(
         base=base, h0_grid=grid, nu_values=nu_values, nu_infinity=nu_infinity
     )
@@ -74,15 +66,14 @@ def field_convergence_gap(
     h0: float,
     xs: Sequence[float],
     ts: Sequence[float],
-    cfg: RootSolverConfig | None = None,
 ) -> float:
     """Largest deviation of the finite-h0 temperature from the limit
     temperature over the sample grid xs x ts."""
     boundary = _require_convective(base)
     if h0 <= 0.0:
         raise ValueError(f"h0 must be positive, got {h0}")
-    sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)), cfg)
-    sol_inf = solve_front(limit_problem(base), cfg)
+    sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)))
+    sol_inf = solve_front(limit_problem(base))
     x = np.asarray(xs, dtype=float)
     t = np.asarray(ts, dtype=float)[:, None]
     gap = np.abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)).max(initial=0.0)

@@ -15,20 +15,30 @@ Each variant admits a similarity solution
                             + B eta M(-alpha/2 + 1/2, 3/2, -eta^2) ],
     s(t) = 2 nu sqrt(d t),      eta = x / (2 sqrt(d t)).
 
-Every face condition is one linear relation p A + q J = g between the
-face temperature A = u(0,t) t^{-alpha/2} and the face conduction
+Every face condition is one linear relation p A + q J = g between the face
+temperature A = u(0,t) t^{-alpha/2} and the face conduction
 J = k u_x(0,t) t^{(1-alpha)/2} = kappa B, kappa = k / (2 sqrt(d)).  The
-triple (p, q, g) is (h0, -1, h0 t_inf) for ``Convective``, (1, 0, t0) for
-``Temperature`` (the h0 -> inf limit) and (0, -1, c) for ``Flux`` (what
-h0 -> 0 with h0 t_inf fixed leaves).  With g_e = M(alpha/2+1/2, 1/2, x^2),
+triple (p, q, g) is (1, -1/h0, t_inf) for ``Convective`` (its balance
+J = h0 (A - t_inf) divided by h0), (1, 0, t0) for ``Temperature`` (the
+h0 -> inf limit) and (0, -1, c) for ``Flux`` (h0 times the convective
+triple as h0 -> 0 with h0 t_inf = c fixed).  With g_e = M(alpha/2+1/2, 1/2, x^2),
 g_o = x M(alpha/2+1, 3/2, x^2) and D = p g_o - q kappa g_e, the front
 condition is A g_e + B g_o = 0 at x = nu, and nu is the unique positive
 root of the one front equation
 
     x^{alpha+1} = C g / D(x),      C = kappa / (gamma 2^alpha d^{(alpha+1)/2}).
 
-``solve_front`` finds nu with a bracketed, bisection-safeguarded Newton
-iteration and returns the fully determined closed form.
+Both sides are products of powers and exponentials, so ``solve_front``
+takes logs: in y = log x it finds the root of
+
+    G(y) = log(C g) - log D(e^y) - (alpha+1) y,
+
+a strictly decreasing function whose value is a relative residual of the
+front equation.  log(C g) is a sum of logs of the data and log D is
+summed from the logs of its (one or two) positive terms, so no product of
+data is formed and nothing under- or overflows before the series
+themselves do.  A bracketed, bisection-safeguarded Newton iteration stops
+at |G| <= 1e-12 and returns the fully determined closed form.
 
 Only the melting case is modelled (all data positive).  The freezing case
 maps onto it by flipping the signs of gamma and of the boundary datum, so
@@ -40,6 +50,7 @@ All quantities are treated as consistent, nondimensionalized reals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +71,6 @@ __all__ = [
     "Temperature",
     "Flux",
     "ProblemSpec",
-    "RootSolverConfig",
     "SolverReport",
     "SimilaritySolution",
     "front_equation_lhs",
@@ -71,8 +81,14 @@ __all__ = [
     "temperature_integer_alpha",
 ]
 
-# Relative residual accepted at the solved front coefficient.
-_RESIDUAL_RTOL = 1e-12
+# Settings of solve_front.  |G| accepted at the root (G is a relative
+# residual of the front equation), the smallest Newton step in y = log x,
+# the iteration cap, and the upper end of the bracket search for nu.
+_RESIDUAL_TOL = 1e-12
+_STEP_TOL = 1e-15
+_MAX_ITERATIONS = 100
+_MAX_NU = 1e3
+_LOG2 = math.log(2.0)
 
 
 class BracketNotFoundError(RuntimeError):
@@ -95,10 +111,14 @@ class Convective:
     def __post_init__(self):
         _require_positive("h0", self.h0)
         _require_positive("t_inf", self.t_inf)
+        if math.isinf(1.0 / self.h0):
+            raise ValueError(f"h0 must have a finite reciprocal, got {self.h0}")
 
     def face_relation(self) -> tuple[float, float, float]:
-        """(p, q, g) of the face relation p A + q J = g."""
-        return self.h0, -1.0, self.h0 * self.t_inf
+        """(p, q, g) of the face relation p A + q J = g: the balance
+        J = h0 (A - t_inf) divided by h0, so that no product of data is
+        formed."""
+        return 1.0, -1.0 / self.h0, self.t_inf
 
 
 @dataclass(frozen=True)
@@ -159,62 +179,71 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class RootSolverConfig:
-    abs_step_tol: float = 1e-15
-    max_newton_iters: int = 100
-    bracket_growth: float = 2.0
-    max_bracket: float = 1e3
-
-    def __post_init__(self):
-        _require_positive("abs_step_tol", self.abs_step_tol)
-        if self.max_newton_iters <= 0:
-            raise ValueError("max_newton_iters must be positive")
-        if self.bracket_growth <= 1.0:
-            raise ValueError("bracket_growth must exceed 1")
-        _require_positive("max_bracket", self.max_bracket)
-
-
-@dataclass(frozen=True)
 class SolverReport:
     iterations: int
     residual: float
     bracket: tuple[float, float]
 
 
-def _front_lhs(
-    problem: ProblemSpec, x: float, slope: bool = True
-) -> tuple[float, float]:
-    """Left side C g / D(x) of the front equation and, when ``slope`` is set,
-    its x-derivative -lhs D'/D (else 0.0).
+def _front_g(problem: ProblemSpec, power: float):
+    """The function y -> (log(C g / D(e^y)) - power y, its y-derivative).
 
-    D' = p M(alpha/2+1, 1/2, x^2) - q kappa 2 (alpha+1) x M(alpha/2+3/2, 3/2, x^2)
+    With power = alpha + 1 it is (G, G'), with power = 0 the log of the
+    front equation's left side and its slope.  The derivative is 0.0 when
+    the call passes ``slope=False``; the series it needs are then not
+    summed.  The logs of the data are taken once, here.
+
+    log D is summed from the logs of its positive terms, t_o of p g_o and
+    t_e of -q kappa g_e, with log(e^t_o + e^t_e) = t + log1p(e^(t' - t)),
+    t the larger.  A series that overflows makes log D = inf.
+    x D' = p x M(alpha/2+1, 1/2, x^2) - q kappa 2 (alpha+1) x^2 M(alpha/2+3/2, 3/2, x^2)
     follows from d/dz M(a,b,z) = (a/b) M(a+1,b+1,z) and
-    d/dx [x M(a, 3/2, x^2)] = M(a, 1/2, x^2).  The series whose coefficient
-    is 0 are not summed.  The slope is formed from the ratio D'/D because
-    D**2 overflows where D alone does not.
+    d/dx [x M(a, 3/2, x^2)] = M(a, 1/2, x^2); x D'/D weighs each term's
+    ratio by that term's share of D.  The series whose coefficient is 0
+    are not summed.
     """
-    alpha, gamma, d = problem.alpha, problem.gamma, problem.d
+    alpha, d = problem.alpha, problem.d
+    a = alpha / 2.0
     p, q, g = problem.boundary.face_relation()
-    kappa = problem.k / (2.0 * math.sqrt(d))
-    a, z = alpha / 2.0, x * x
-    denom = ddenom = 0.0
-    if p:
-        denom += p * x * kummer_m(a + 1.0, 1.5, z)
-        if slope:
-            ddenom += p * kummer_m(a + 1.0, 0.5, z)
-    if q:
-        denom -= q * kappa * kummer_m(a + 0.5, 0.5, z)
-        if slope:
-            ddenom -= q * kappa * 2.0 * (alpha + 1.0) * x * kummer_m(a + 1.5, 1.5, z)
-    lhs = kappa / (gamma * 2.0**alpha * d ** ((alpha + 1.0) / 2.0)) * g / denom
-    return lhs, (-lhs * (ddenom / denom) if slope else 0.0)
+    log_kappa = math.log(problem.k) - _LOG2 - 0.5 * math.log(d)
+    log_cg = (
+        log_kappa + math.log(g) - math.log(problem.gamma)
+        - alpha * _LOG2 - 0.5 * (alpha + 1.0) * math.log(d)
+    )
+    log_p = math.log(p) if p else None
+    log_qk = math.log(-q) + log_kappa if q else None
+
+    def front_g(y: float, slope: bool = True) -> tuple[float, float]:
+        x = math.exp(y)
+        z = x * x
+        t_o = t_e = -math.inf
+        if log_p is not None:
+            m_o = kummer_m(a + 1.0, 1.5, z)
+            t_o = log_p + y + math.log(m_o)
+        if log_qk is not None:
+            m_e = kummer_m(a + 0.5, 0.5, z)
+            t_e = log_qk + math.log(m_e)
+        hi, lo = max(t_o, t_e), min(t_o, t_e)
+        log_d = hi if hi == math.inf else hi + math.log1p(math.exp(lo - hi))
+        value = log_cg - log_d - power * y
+        if not slope:
+            return value, 0.0
+        ratio = 0.0
+        if log_p is not None:
+            ratio += math.exp(t_o - log_d) * kummer_m(a + 1.0, 0.5, z) / m_o
+        if log_qk is not None:
+            ratio += (math.exp(t_e - log_d) * 2.0 * (alpha + 1.0) * z
+                      * kummer_m(a + 1.5, 1.5, z) / m_e)
+        return value, -ratio - power
+
+    return front_g
 
 
 def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
     """Left-hand side C g / D(x) of the front equation, a strictly
     decreasing function of x > 0."""
     _require_positive("x", x)
-    return _front_lhs(problem, x, slope=False)[0]
+    return math.exp(_front_g(problem, 0.0)(math.log(x), slope=False)[0])
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:
@@ -225,36 +254,32 @@ def front_equation_residual(problem: ProblemSpec, x: float) -> float:
 def residual_derivative(problem: ProblemSpec, x: float) -> float:
     """Derivative of ``front_equation_residual`` in x (negative for x > 0)."""
     _require_positive("x", x)
-    return _front_lhs(problem, x)[1] - (problem.alpha + 1.0) * x**problem.alpha
+    log_lhs, log_slope = _front_g(problem, 0.0)(math.log(x))
+    return math.exp(log_lhs) * log_slope / x - (problem.alpha + 1.0) * x**problem.alpha
 
 
-def _find_bracket(
-    problem: ProblemSpec, cfg: RootSolverConfig
-) -> tuple[float, float, float, float]:
-    """Sign-change bracket (lo, hi) of the residual and the residuals there,
-    searched geometrically from x = 1 towards the side that holds the root.
+def _find_bracket(front_g) -> tuple[float, float, float, float]:
+    """Sign-change bracket (lo, hi) of G in y = log x and G there, walked
+    in steps of log 2 from y = 0 towards the side that holds the root.
 
-    For admissible data lhs(0+) is positive (or infinite) while
-    x**(alpha+1) -> 0, so the residual is positive near 0 and a downward
-    search can only fail by underflow.
+    G -> +inf as y -> -inf (log D tends to a constant, or falls like y
+    for ``Temperature``), so a downward walk always ends; an upward
+    walk stops at x = ``_MAX_NU``.  Where D overflows, G = -inf: right of
+    the root.  The walk sums no slope series.
     """
-    x, f = 1.0, front_equation_residual(problem, 1.0)
-    up = f > 0.0
+    y_max = math.log(_MAX_NU)
+    y, g = 0.0, front_g(0.0, slope=False)[0]
+    up = g > 0.0
     while True:
-        x_next = x * cfg.bracket_growth if up else x / cfg.bracket_growth
-        if up and x_next > cfg.max_bracket:
+        y_next = y + _LOG2 if up else y - _LOG2
+        if y_next > y_max:
             raise BracketNotFoundError(
-                f"no sign change of the front equation below x={cfg.max_bracket}"
+                f"no sign change of the front equation below x={_MAX_NU}"
             )
-        if x_next ** (problem.alpha + 1.0) == 0.0:
-            raise BracketNotFoundError(
-                f"front equation underflows: no sign change above x={x}, where "
-                "x**(alpha+1) is at the end of the double-precision range"
-            )
-        f_next = front_equation_residual(problem, x_next)
-        if (f_next > 0.0) != up:
-            return (x, x_next, f, f_next) if up else (x_next, x, f_next, f)
-        x, f = x_next, f_next
+        g_next = front_g(y_next, slope=False)[0]
+        if (g_next > 0.0) != up:
+            return (y, y_next, g, g_next) if up else (y_next, y, g_next, g)
+        y, g = y_next, g_next
 
 
 def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
@@ -364,66 +389,69 @@ class SimilaritySolution:
         )
 
 
-def solve_front(
-    problem: ProblemSpec, cfg: RootSolverConfig | None = None
-) -> SimilaritySolution:
+def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     """Solve the variant's front equation for nu and assemble the closed form.
 
-    Newton's iteration starts from the false-position point of a
-    sign-change bracket, found by growing or shrinking x geometrically from
-    1; any step that would leave the current bracket is replaced by
-    bisection, so the proven monotonicity of the residual guarantees
-    convergence.  Each iterate's residual and slope come from one set of
-    series values.  Stops when the step falls below
-    ``abs_step_tol * min(1, x)`` or the residual below 1e-12 * |lhs|,
-    whichever happens first after at least two iterations.
-    Both tests are relative below x = 1: lhs = nu**(alpha+1) can be far
-    below 1, where absolute tests accept iterates far from the root.
+    Newton's iteration on G(y) = log(C g / D(e^y)) - (alpha+1) y starts
+    from the false-position point of a sign-change bracket in y = log x
+    (``_find_bracket``); any step that would leave the current bracket is
+    replaced by bisection, so the proven monotonicity of G guarantees
+    convergence.  Each iterate's G and slope come from one set of series
+    values.  G is a relative residual, so one stop serves every scale of
+    nu: |G| <= 1e-12, followed by one more Newton correction, which the
+    returned nu includes.  The iteration also stops when a step in y falls
+    to 1e-15, and in either case the final G must meet the residual stop.
+    ``SolverReport.residual`` is lhs - nu**(alpha+1) =
+    nu**(alpha+1) expm1(G).
     """
-    if cfg is None:
-        cfg = RootSolverConfig()
-    lo, hi, f_lo, f_hi = _find_bracket(problem, cfg)
-    bracket = (lo, hi)
-    alpha = problem.alpha
-    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    for iterations in range(1, cfg.max_newton_iters + 1):
-        lhs, slope = _front_lhs(problem, x)
-        residual = lhs - x ** (alpha + 1.0)
-        slope -= (alpha + 1.0) * x**alpha
-        if residual > 0.0:
-            lo = x
-        elif residual < 0.0:
-            hi = x
-        small = iterations >= 2 and abs(residual) <= _RESIDUAL_RTOL * abs(lhs)
-        trial = x - residual / slope if slope < 0.0 else math.nan
+    front_g = _front_g(problem, problem.alpha + 1.0)
+    lo, hi, g_lo, g_hi = _find_bracket(front_g)
+    bracket = (math.exp(lo), math.exp(hi))
+    y = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    if not lo < y < hi:
+        y = 0.5 * (lo + hi)
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        g, slope = front_g(y)
+        if g > 0.0:
+            lo = y
+        elif g < 0.0:
+            hi, g_hi = y, g
+        small = abs(g) <= _RESIDUAL_TOL
+        trial = y - g / slope if slope < 0.0 else math.nan
         if not (lo < trial < hi):
             if small:
                 break
             trial = 0.5 * (lo + hi)
-        step = abs(trial - x)
-        x = trial
-        # On the residual stop this is a polish with the final Newton
-        # correction: the stop alone can leave |F|/|F'| of slack in the root.
-        if small or (iterations >= 2 and step < cfg.abs_step_tol * min(1.0, x)):
-            residual = front_equation_residual(problem, x)
+        step = abs(trial - y)
+        y = trial
+        if small or step <= _STEP_TOL:
+            g = front_g(y, slope=False)[0]
             break
     else:
         raise NonConvergenceError(
             f"front-coefficient iteration did not converge in "
-            f"{cfg.max_newton_iters} iterations (last residual {residual})"
+            f"{_MAX_ITERATIONS} iterations (last log residual {g})"
         )
-    lhs_scale = abs(residual + x ** (alpha + 1.0))
-    if abs(residual) > _RESIDUAL_RTOL * lhs_scale:
+    nu = math.exp(y)
+    if not abs(g) <= _RESIDUAL_TOL:
+        if g_hi == -math.inf:
+            raise BracketNotFoundError(
+                f"the front equation's series overflow double precision at "
+                f"x={math.exp(hi)}, below its root"
+            )
         raise NonConvergenceError(
-            f"front-coefficient residual {residual} above tolerance at nu={x}"
+            f"front-coefficient log residual {g} above tolerance at nu={nu}"
         )
-    coeff_even, coeff_odd = _coefficients(problem, x)
+    if nu < sys.float_info.min:
+        raise BracketNotFoundError(
+            f"the front coefficient exp({y}) underflows double precision"
+        )
+    coeff_even, coeff_odd = _coefficients(problem, nu)
+    residual = nu ** (problem.alpha + 1.0) * math.expm1(g)
     report = SolverReport(iterations=iterations, residual=residual, bracket=bracket)
     return SimilaritySolution(
         problem=problem,
-        nu=x,
+        nu=nu,
         coeff_even=coeff_even,
         coeff_odd=coeff_odd,
         solver_report=report,

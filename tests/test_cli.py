@@ -56,6 +56,15 @@ def test_solve_large_front_coefficient(tmp_path):
     assert payload["coeff_even"] > 0.0
 
 
+def test_solve_root_past_series_overflow_exits_3(capsys):
+    # The root lies where the front equation's series exceed double
+    # precision; d**((alpha+1)/2) underflowed to 0 in the direct form.
+    assert run(["solve", "--alpha", "50", "--t0", "1", "--d", "1e-20"]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "numerical-failure"
+    assert "overflow" in record["detail"] and "x=" in record["detail"]
+
+
 def test_solve_missing_boundary_datum_exits_2(capsys):
     assert run(["solve", "--alpha", "0.4"]) == 2
     record = json.loads(capsys.readouterr().err)
@@ -205,6 +214,17 @@ def test_field_face_rows_satisfy_convective_balance(tmp_path):
             psi - 1.0 * t ** (0.4 / 2.0)
         )
         assert abs(balance) <= 1e-9
+
+
+def test_field_huge_convective_data_is_finite(tmp_path):
+    # h0 * t_inf overflows here; the front equation gave nu = 14.0 with an
+    # infinite residual, and psi = nan.
+    out = tmp_path / "field.csv"
+    assert run(["field", "--alpha", "1", "--h0", "1e200", "--tinf", "1e200",
+                "--nx", "3", "--nt", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][3]) == pytest.approx(2.0 * 21.2124247315329, rel=1e-12)
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_field_bad_grid_exits_2():
@@ -366,6 +386,18 @@ def test_malformed_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
     assert run(["solve", "--t0", "1"]) == 2
     capsys.readouterr()
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    import stefan_kummer.cli as cli
+
+    def fail():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    for _ in range(2):
+        assert run(["solve", *FIG9_ARGS]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["nu"])
 
 
 def test_stdout_output(capsys):

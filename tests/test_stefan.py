@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from stefan_kummer import (
     Convective,
     Flux,
     ProblemSpec,
-    RootSolverConfig,
     SimilaritySolution,
     SolverReport,
     Temperature,
@@ -230,10 +230,13 @@ def test_front_coefficient_monotone_in_tinf():
     assert nus[0] < nus[1] < nus[2]
 
 
-def test_bracket_failure_reported():
+def test_bracket_failure_reported(monkeypatch):
+    import stefan_kummer.stefan as stefan
+
+    monkeypatch.setattr(stefan, "_MAX_NU", 2.0)
     p = ProblemSpec(alpha=0.0, boundary=Convective(h0=1.0, t_inf=1e6))
     with pytest.raises(BracketNotFoundError):
-        solve_front(p, RootSolverConfig(max_bracket=2.0))
+        solve_front(p)
 
 
 # Fixed nu < 1e-8 probes: a lower bracket pinned at 1e-8 rejected each as
@@ -323,13 +326,145 @@ def test_series_evaluation_budget(monkeypatch):
         assert len(calls) <= budget, (p, len(calls))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        RootSolverConfig(abs_step_tol=0.0)
-    with pytest.raises(ValueError):
-        RootSolverConfig(bracket_growth=1.0)
-    with pytest.raises(ValueError):
-        RootSolverConfig(max_newton_iters=0)
+# Wide ranges: alpha in [0, 50], boundary data log-uniform in [1e-9, 1e9],
+# gamma, d and k log-uniform in [1e-3, 1e3].  ``u(lo, hi)`` draws one
+# log-uniform value.
+_WIDE_BOUNDARIES = {
+    "convective": lambda u: Convective(h0=u(1e-9, 1e9), t_inf=u(1e-9, 1e9)),
+    "temperature": lambda u: Temperature(t0=u(1e-9, 1e9)),
+    "flux": lambda u: Flux(c=u(1e-9, 1e9)),
+}
+
+
+def _wide_spec(family, alpha, u):
+    return ProblemSpec(alpha=alpha, boundary=_WIDE_BOUNDARIES[family](u),
+                       gamma=u(1e-3, 1e3), d=u(1e-3, 1e3), k=u(1e-3, 1e3))
+
+
+@st.composite
+def wide_specs(draw):
+    def u(lo, hi):
+        return math.exp(draw(st.floats(min_value=math.log(lo), max_value=math.log(hi))))
+
+    family = draw(st.sampled_from(sorted(_WIDE_BOUNDARIES)))
+    return _wide_spec(family, draw(st.floats(min_value=0.0, max_value=50.0)), u)
+
+
+def _mp_front_root(mp, problem, x0):
+    """Root of the front equation x**(alpha+1) D(x) = C g near x0, in
+    extended precision, written with each family's own data."""
+    b = problem.boundary
+    alpha, gamma, d, k = (mp.mpf(v) for v in (problem.alpha, problem.gamma, problem.d, problem.k))
+    if isinstance(b, Convective):
+        p, q, g = mp.mpf(b.h0), -1, mp.mpf(b.h0) * mp.mpf(b.t_inf)
+    elif isinstance(b, Temperature):
+        p, q, g = 1, 0, mp.mpf(b.t0)
+    else:
+        p, q, g = 0, -1, mp.mpf(b.c)
+    kappa = k / (2 * mp.sqrt(d))
+    log_cg = mp.log(kappa * g / (gamma * 2**alpha * d ** ((alpha + 1) / 2)))
+
+    def log_residual(x):
+        z = x * x
+        denom = p * x * mp.hyp1f1(alpha / 2 + 1, 1.5, z) - q * kappa * mp.hyp1f1(alpha / 2 + 0.5, 0.5, z)
+        return log_cg - mp.log(denom) - (alpha + 1) * mp.log(x)
+
+    # Secant from two points around x0: a default second point x0 + 1/4
+    # lies far from small roots.
+    x0 = mp.mpf(x0)
+    return mp.findroot(log_residual, (x0 * (1 - mp.mpf(1e-10)), x0 * (1 + mp.mpf(1e-10))))
+
+
+def _mp_stefan_scale(mp, sol):
+    """1 plus the size of the two conduction terms at the front relative
+    to the latent-heat side: the factor by which the even/odd form
+    magnifies the rounding of the coefficients in the Stefan residual."""
+    p = sol.problem
+    alpha, gamma, d, k = (mp.mpf(v) for v in (p.alpha, p.gamma, p.d, p.k))
+    nu, a, bb = mp.mpf(sol.nu), mp.mpf(sol.coeff_even), mp.mpf(sol.coeff_odd)
+    z = -nu * nu
+    terms = (abs(a * alpha * nu * mp.hyp1f1(1 - alpha / 2, 1.5, z))
+             + abs(bb / 2 * mp.hyp1f1(0.5 - alpha / 2, 0.5, z))) / mp.sqrt(d)
+    rhs = gamma * (2 * nu * mp.sqrt(d)) ** alpha * nu * mp.sqrt(d)
+    return float(1 + k * terms / rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=wide_specs())
+def test_wide_domain_root_and_conditions_property(p):
+    mp = pytest.importorskip("mpmath")
+    sol = solve_front(p)
+    assert sol.solver_report.iterations <= 8
+    with mp.workdps(50):
+        root = _mp_front_root(mp, p, sol.nu)
+        assert abs(sol.nu - root) <= 1e-13 * root
+        face, front, stefan = _mp_condition_residuals(mp, sol)
+        assert face <= 1e-13 and front <= 1e-13
+        # The Stefan residual is a difference of two conduction terms that
+        # grow like nu**alpha; its size is the coefficients' rounding times
+        # that growth.
+        assert stefan <= 1e-12 * _mp_stefan_scale(mp, sol)
+
+
+def test_wide_domain_iteration_ceiling():
+    r = random.Random(20)
+
+    def u(lo, hi):
+        return math.exp(r.uniform(math.log(lo), math.log(hi)))
+
+    iterations = []
+    for _ in range(400):
+        family = r.choice(sorted(_WIDE_BOUNDARIES))
+        p = _wide_spec(family, r.uniform(0.0, 50.0), u)
+        iterations.append(solve_front(p).solver_report.iterations)
+    assert max(iterations) <= 8
+
+
+def test_large_alpha_large_nu_solves():
+    # 100 Newton/bisection steps did not converge when the iteration ran
+    # in x: the left side decays like exp(-x**2) and x**49 is steep.
+    p = ProblemSpec(alpha=48.0, boundary=Flux(c=1e-6), d=1e-9)
+    sol = solve_front(p)
+    assert sol.nu == pytest.approx(15.6344, rel=1e-5)
+    assert sol.solver_report.iterations <= 8
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        assert abs(sol.nu - _mp_front_root(mp, p, sol.nu)) <= 1e-13 * sol.nu
+
+
+def test_huge_convective_data_solve_to_temperature_limit():
+    # h0 * t_inf overflows here; the face relation is divided by h0.
+    conv = ProblemSpec(alpha=1.0, boundary=Convective(h0=1e200, t_inf=1e200))
+    sol = solve_front(conv)
+    assert sol.nu == pytest.approx(21.2124247315329, rel=1e-12)
+    assert sol.nu == pytest.approx(
+        solve_front(ProblemSpec(alpha=1.0, boundary=Temperature(t0=1e200))).nu, rel=1e-12)
+    assert math.isfinite(sol.solver_report.residual)
+    assert math.isfinite(sol.coeff_even) and math.isfinite(sol.coeff_odd)
+    huge = ProblemSpec(alpha=1.0, boundary=Convective(h0=1e300, t_inf=1e300))
+    assert solve_front(huge).nu == pytest.approx(
+        solve_front(ProblemSpec(alpha=1.0, boundary=Temperature(t0=1e300))).nu, rel=1e-12)
+
+
+def test_root_past_series_overflow_reported():
+    # C = kappa / (gamma 2**alpha d**((alpha+1)/2)) is about exp(1197): the
+    # root lies where the series exceed double precision.
+    p = ProblemSpec(alpha=50.0, boundary=Temperature(t0=1.0), d=1e-20)
+    with pytest.raises(BracketNotFoundError, match=r"overflow.*x=2\d\.\d+"):
+        solve_front(p)
+
+
+def test_front_coefficient_below_double_range_reported():
+    # nu is about h0 * t_inf = 1e-600 here.
+    p = ProblemSpec(alpha=0.0, boundary=Convective(h0=1e-300, t_inf=1e-300))
+    with pytest.raises(BracketNotFoundError, match="underflows"):
+        solve_front(p)
+
+
+def test_convective_transfer_coefficient_needs_finite_reciprocal():
+    with pytest.raises(ValueError, match="reciprocal"):
+        Convective(h0=1e-310, t_inf=1.0)
+    assert Convective(h0=1e-300, t_inf=1.0).face_relation() == (1.0, -1.0 / 1e-300, 1.0)
 
 
 @settings(max_examples=25, deadline=None)

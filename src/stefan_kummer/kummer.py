@@ -8,7 +8,7 @@ integer-exponent closed forms.
 ``kummer_m`` takes floats only.  ``kummer_m_array`` sums the same series
 for scalar (a, b) over a numpy array of arguments z, with the same domain
 (finite z >= -200), so that a whole grid of field values costs one call;
-the solver keeps the float form, which has no per-call array overhead.
+it sums small inputs with ``kummer_m``, which the front solve calls.
 
 All functions here are pure functions of their arguments with no shared
 mutable state (the array form allocates its work arrays per call); they
@@ -217,17 +217,28 @@ def erfc(z: float) -> float:
 def iterated_erfc(n: int, z: float) -> float:
     """n-times repeated integral of the complementary error function.
 
-    i^0 erfc = erfc and i^n erfc(z) = integral_z^inf i^{n-1} erfc(t) dt,
-    evaluated with the standard three-term recurrence
-
-        i^n erfc(z) = -(z/n) i^{n-1} erfc(z) + (1/(2n)) i^{n-2} erfc(z)
-
-    seeded by i^{-1} erfc(z) = (2/sqrt(pi)) exp(-z^2)  (DLMF 7.18).
+    i^0 erfc = erfc and i^n erfc(z) = integral_z^inf i^{n-1} erfc(t) dt
+    satisfy i^n = -(z/n) i^{n-1} + (1/(2n)) i^{n-2}  (DLMF 7.18).  Run
+    forward from i^{-1} erfc(z) = (2/sqrt(pi)) exp(-z^2), this recurrence
+    magnifies rounding errors by about exp(2 z sqrt(2n)); past
+    z sqrt(2n) = 2 it runs backward instead (Miller's algorithm, Gautschi,
+    Math. Comp. 15, 1961), on r_m = i^m / i^{m-1} = 1 / (2z + 2(m+1) r_{m+1})
+    from r = 0 at an order top where exp(-2z (sqrt(2 top) - sqrt(2n))) is
+    below 1e-16, plus 10 for small n at large z, where that estimate runs
+    short.  Then i^n erfc(z) = erfc(z) r_1 ... r_n.
     """
     if n < 0:
         raise ValueError(f"repetition count must be >= 0, got {n}")
     if not math.isfinite(z):
         raise ValueError("iterated_erfc argument must be finite")
+    if z * math.sqrt(2.0 * n) > 2.0:
+        top = int(0.5 * (math.sqrt(2.0 * n) + 19.0 / z) ** 2) + 10
+        r, value = 0.0, erfc(z)
+        for m in range(top, 0, -1):
+            r = 1.0 / (2.0 * z + 2.0 * (m + 1) * r)
+            if m <= n:
+                value *= r
+        return value
     prev = 2.0 * INV_SQRT_PI * _exp_neg_sq(abs(z))
     cur = erfc(z)
     for m in range(1, n + 1):

@@ -80,7 +80,6 @@ class OracleConfig:
     t_end: float
     nx: int = 2000
     dt_safety: float = 0.2
-    liquid_fraction_tol: float = 1e-10
     start_fraction: float = 0.01
     cold_start: bool = False
     n_front_records: int = 200
@@ -97,8 +96,6 @@ class OracleConfig:
             raise ValueError("nx must be at least 50")
         if not 0.0 < self.dt_safety <= 0.5:
             raise ValueError("dt_safety must lie in (0, 0.5]")
-        if not 0.0 < self.liquid_fraction_tol < 1e-2:
-            raise ValueError("liquid_fraction_tol must lie in (0, 1e-2)")
         if not 0.0 < self.start_fraction <= 1.0:
             raise ValueError("start_fraction must lie in (0, 1]")
         if self.n_front_records < 2 or self.n_snapshots < 1:
@@ -186,7 +183,6 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         H[m] = (s0 / dx - m) * lam[m]
 
     inflow = _face_inflow(problem, dx)
-    tol = cfg.liquid_fraction_tol
     energy_start = math.fsum(H)
     energy_in = 0.0
     front_targets = np.linspace(t0, cfg.t_end, cfg.n_front_records).tolist()
@@ -197,9 +193,9 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     front_ptr = snap_ptr = 0
 
     def front() -> float:
-        # the melted length: the block plus the liquid fraction of cell m
-        phi = H[m] / lam[m]
-        return (m + (1.0 if phi >= 1.0 - tol else phi)) * dx
+        # the melted length: the block plus the liquid fraction of cell m,
+        # at most 1 since every step ends with H[m] <= lam[m]
+        return (m + H[m] / lam[m]) * dx
 
     def record(t: float) -> None:
         # at most one record per step, once a target time is reached

@@ -287,25 +287,23 @@ def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
     p A + q kappa B = g and zero temperature at the front, A g_e + B g_o = 0.
 
     g_e and g_o are exp(nu^2) times the basis functions at the front,
-    summed at positive argument, so both are sums of positive terms.
+    summed at positive argument, so both are sums of positive terms, and
+    B = -r A with r = g_e / g_o.  q = 0 fixes A = g / p; otherwise
+    B (q kappa - p / r) = g is divided by max(1, kappa), so that neither
+    kappa = k / (2 sqrt d) nor 1 / kappa is formed where it overflows.
     """
     alpha = problem.alpha
     p, q, g = problem.boundary.face_relation()
-    kappa = problem.k / (2.0 * math.sqrt(problem.d))
     z = nu * nu
     g_o = nu * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
     r = kummer_m(alpha / 2.0 + 0.5, 0.5, z) / g_o
-    if p:
-        coeff_even = g / (p - q * kappa * r)
+    if not q:
+        coeff_even = g / p
         return coeff_even, -coeff_even * r
-    coeff_odd = g / (q * kappa)
+    k, two_sqrt_d = problem.k, 2.0 * math.sqrt(problem.d)
+    s, s_kappa = (two_sqrt_d / k, 1.0) if k > two_sqrt_d else (1.0, k / two_sqrt_d)
+    coeff_odd = g * s / (q * s_kappa - p * s / r)
     return -coeff_odd / r, coeff_odd
-
-
-def _power(t, p: float):
-    """t**p, through float pow element by element for an array t (see
-    ``float_map``)."""
-    return float_map(lambda v: v**p, t) if isinstance(t, np.ndarray) else t**p
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -313,15 +311,21 @@ def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> No
         raise ValueError(f"{name} must be {what}, got {values[~ok][0]}")
 
 
+def _result(value, *args):
+    """value as a Python float when no argument was an ndarray."""
+    return value if any(isinstance(a, np.ndarray) for a in args) else float(value)
+
+
 @dataclass(frozen=True)
 class SimilaritySolution:
     """Solved closed form: front coefficient plus field evaluators.
 
     ``front_position``, ``temperature`` and ``temperature_flux`` take floats
-    or numpy arrays.  Floats give a float, summed with ``kummer_m``.  When
-    x or t is an array, x and t broadcast against each other, every element
-    is checked, and the whole grid costs one ``kummer_m_array`` call per
-    basis function; the result is an array of the broadcast shape.
+    or numpy arrays and evaluate both the same way: x and t broadcast
+    against each other, every element is checked, and each basis function
+    costs one ``kummer_m_array`` call over the whole grid (which sums small
+    grids with ``kummer_m``).  The result is a Python float when no
+    argument is an ndarray, else an array of the broadcast shape.
 
     ``temperature`` evaluates the similarity formula as written, also for
     x > s(t); callers that want the physical field mask those points to 0.
@@ -337,56 +341,45 @@ class SimilaritySolution:
 
     def front_position(self, t):
         """s(t) = 2 nu sqrt(d t) for finite t >= 0."""
-        if isinstance(t, np.ndarray):
-            _require_all("t", t, np.isfinite(t) & (t >= 0.0), "a finite real >= 0")
-            return 2.0 * self.nu * np.sqrt(self.problem.d * t)
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValueError(f"t must be a finite real >= 0, got {t}")
-        return 2.0 * self.nu * math.sqrt(self.problem.d * t)
+        ts = np.asarray(t, dtype=float)
+        _require_all("t", ts, np.isfinite(ts) & (ts >= 0.0), "a finite real >= 0")
+        return _result(2.0 * self.nu * np.sqrt(self.problem.d * ts), t)
 
     def front_speed(self, t: float) -> float:
         """ds/dt = nu sqrt(d / t)."""
         _require_positive("t", t)
         return self.nu * math.sqrt(self.problem.d / t)
 
-    def _eta(self, x, t):
-        """eta = x / (2 sqrt(d t)), t, and the Kummer function for the
-        argument kind: ``kummer_m_array`` when x or t is an array."""
-        if isinstance(x, np.ndarray) or isinstance(t, np.ndarray):
-            x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-            _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
-            _require_all("x", x, ~(x < 0.0), ">= 0")
-            return x / (2.0 * np.sqrt(self.problem.d * t)), t, kummer_m_array
-        _require_positive("t", t)
-        if x < 0.0:
-            raise ValueError(f"x must be >= 0, got {x}")
-        return x / (2.0 * math.sqrt(self.problem.d * t)), t, kummer_m
+    def _eta(self, x, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eta = x / (2 sqrt(d t)), -eta**2 and t as float arrays, every
+        element checked."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
+        _require_all("x", x, ~(x < 0.0), ">= 0")
+        eta = x / (2.0 * np.sqrt(self.problem.d * t))
+        return eta, -eta * eta, t
 
     def temperature(self, x, t):
         """Similarity temperature at (x, t), t > 0."""
         alpha = self.problem.alpha
-        eta, t, m = self._eta(x, t)
-        z = -eta * eta
-        return _power(t, alpha / 2.0) * (
-            self.coeff_even * m(-alpha / 2.0, 0.5, z)
-            + self.coeff_odd * eta * m(-alpha / 2.0 + 0.5, 1.5, z)
-        )
+        eta, z, ts = self._eta(x, t)
+        # t**p by float pow per element of t, not of the grid (``float_map``)
+        return _result(float_map(lambda v: v ** (alpha / 2.0), ts) * (
+            self.coeff_even * kummer_m_array(-alpha / 2.0, 0.5, z)
+            + self.coeff_odd * eta * kummer_m_array(-alpha / 2.0 + 0.5, 1.5, z)
+        ), x, t)
 
     def temperature_flux(self, x, t):
         """Spatial derivative of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
         alpha = self.problem.alpha
-        eta, t, m = self._eta(x, t)
-        z = -eta * eta
-        return (
-            _power(t, (alpha - 1.0) / 2.0)
-            / math.sqrt(self.problem.d)
-            * (
-                self.coeff_even * alpha * eta * m(-alpha / 2.0 + 1.0, 1.5, z)
-                + 0.5 * self.coeff_odd * m(-alpha / 2.0 + 0.5, 0.5, z)
-            )
-        )
+        eta, z, ts = self._eta(x, t)
+        scale = float_map(lambda v: v ** ((alpha - 1.0) / 2.0), ts) / math.sqrt(self.problem.d)
+        return _result(scale * (
+            self.coeff_even * alpha * eta * kummer_m_array(-alpha / 2.0 + 1.0, 1.5, z)
+            + 0.5 * self.coeff_odd * kummer_m_array(-alpha / 2.0 + 0.5, 0.5, z)
+        ), x, t)
 
 
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:
@@ -401,8 +394,9 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     nu: |G| <= 1e-12, followed by one more Newton correction, which the
     returned nu includes.  The iteration also stops when a step in y falls
     to 1e-15, and in either case the final G must meet the residual stop.
-    ``SolverReport.residual`` is lhs - nu**(alpha+1) =
-    nu**(alpha+1) expm1(G).
+    ``SolverReport.residual`` is the relative residual
+    lhs / nu**(alpha+1) - 1 = expm1(G) of the returned nu, so it stays
+    finite where nu**(alpha+1) overflows.
     """
     front_g = _front_g(problem, problem.alpha + 1.0)
     lo, hi, g_lo, g_hi = _find_bracket(front_g)
@@ -447,8 +441,7 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
             f"the front coefficient exp({y}) underflows double precision"
         )
     coeff_even, coeff_odd = _coefficients(problem, nu)
-    residual = nu ** (problem.alpha + 1.0) * math.expm1(g)
-    report = SolverReport(iterations=iterations, residual=residual, bracket=bracket)
+    report = SolverReport(iterations=iterations, residual=math.expm1(g), bracket=bracket)
     return SimilaritySolution(
         problem=problem,
         nu=nu,

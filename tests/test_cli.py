@@ -65,6 +65,15 @@ def test_solve_root_past_series_overflow_exits_3(capsys):
     assert "overflow" in record["detail"] and "x=" in record["detail"]
 
 
+def test_solve_residual_finite_where_nu_power_overflows(tmp_path):
+    # nu = 8.3 and nu**401 overflows: the solve converged, then exited 3.
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--alpha", "400", "--t0", "1", "--gamma", "1e-3",
+                "--d", "1e-3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert abs(payload["residual"]) <= 1e-12
+
+
 def test_solve_missing_boundary_datum_exits_2(capsys):
     assert run(["solve", "--alpha", "0.4"]) == 2
     record = json.loads(capsys.readouterr().err)

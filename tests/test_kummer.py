@@ -233,6 +233,22 @@ def test_second_integral_vs_quadrature():
     assert iterated_erfc(2, 0.5) == pytest.approx(ref, abs=1e-10)
 
 
+def test_iterated_erfc_vs_mpmath_at_positive_argument():
+    # The forward recurrence is unstable at z > 0: i^10 erfc(10) came out
+    # 3.0x, i^20 erfc(5) 170x and i^30 erfc(10) 1e22x the true value.
+    mp = pytest.importorskip("mpmath")
+    zs = [1e-9, 1e-3, 0.1, 0.3] + [0.5 * i for i in range(1, 21)]
+    with mp.workdps(40):
+        for n in range(31):
+            assert iterated_erfc(n, 0.0) == pytest.approx(
+                float(1 / (2**n * mp.gamma(mp.mpf(n) / 2 + 1))), rel=1e-14, abs=0.0)
+            for z in zs:
+                # Kummer U form: exp(-z^2) U(n/2 + 1/2, 1/2, z^2) / (2^n sqrt(pi))
+                zz = mp.mpf(z) ** 2
+                ref = mp.exp(-zz) * mp.hyperu(mp.mpf(n + 1) / 2, 0.5, zz) / (2**n * mp.sqrt(mp.pi))
+                assert iterated_erfc(n, z) == pytest.approx(float(ref), rel=1e-14, abs=0.0), (n, z)
+
+
 def test_iterated_erfc_rejects_negative_order():
     with pytest.raises(ValueError):
         iterated_erfc(-1, 0.3)

@@ -304,6 +304,25 @@ def test_face_relation_holds_for_each_family():
         assert pp * sol.coeff_even + q * conduction == pytest.approx(g, rel=1e-12)
 
 
+@pytest.mark.parametrize("k, d, boundary", [
+    # kappa = k / (2 sqrt d) is 5e309, past the double range: Convective
+    # and Flux gave coefficients 0.0 and -0.0, Temperature nan.
+    (1e300, 1e-20, Convective(h0=1.0, t_inf=1.0)),
+    (1e300, 1e-20, Temperature(t0=1e-100)),
+    (1e300, 1e-20, Flux(c=1.0)),
+    # and here 1/kappa is 2e310
+    (1e-300, 1e20, Convective(h0=1.0, t_inf=1.0)),
+    (1e-300, 1e20, Temperature(t0=1.0)),
+])
+def test_face_relation_holds_at_extreme_conductivity(k, d, boundary):
+    p = ProblemSpec(alpha=1.0, boundary=boundary, k=k, d=d)
+    sol = solve_front(p)
+    pp, q, g = boundary.face_relation()
+    conduction = p.k * sol.coeff_odd / (2.0 * math.sqrt(p.d))
+    assert pp * sol.coeff_even + q * conduction == pytest.approx(g, rel=1e-12, abs=0.0)
+    assert sol.coeff_even > 0.0 > sol.coeff_odd
+
+
 def test_series_evaluation_budget(monkeypatch):
     import stefan_kummer.stefan as stefan
 
@@ -444,6 +463,16 @@ def test_huge_convective_data_solve_to_temperature_limit():
     huge = ProblemSpec(alpha=1.0, boundary=Convective(h0=1e300, t_inf=1e300))
     assert solve_front(huge).nu == pytest.approx(
         solve_front(ProblemSpec(alpha=1.0, boundary=Temperature(t0=1e300))).nu, rel=1e-12)
+
+
+def test_converged_solve_reports_finite_relative_residual():
+    # nu**401 overflows here: the residual nu**(alpha+1) * expm1(G) raised
+    # OverflowError after the iteration had converged.
+    p = ProblemSpec(alpha=400.0, boundary=Temperature(t0=1.0), gamma=1e-3, d=1e-3)
+    sol = solve_front(p)
+    assert sol.nu == pytest.approx(8.302050604888926, rel=1e-12)
+    assert math.isfinite(sol.solver_report.residual)
+    assert abs(sol.solver_report.residual) <= 1e-12
 
 
 def test_root_past_series_overflow_reported():

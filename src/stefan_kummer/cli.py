@@ -138,12 +138,6 @@ def _resolve_problem(opt: _Options) -> ProblemSpec:
     return _problem_from(opt, boundary)
 
 
-def _check_format(opt: _Options, required: str) -> None:
-    fmt = opt.get("format", required, cast=str)
-    if fmt != required:
-        raise UsageError(f"this command emits {required}, not {fmt}")
-
-
 def _require_positive_flag(flag: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise UsageError(f"{flag} must be a positive finite number, got {value}")
@@ -180,7 +174,6 @@ def _spec_payload(prefix: str, spec: ProblemSpec) -> dict:
 
 
 def _cmd_solve(opt: _Options) -> int:
-    _check_format(opt, "json")
     sol = solve_front(_resolve_problem(opt))
     payload = {
         "nu": sol.nu,
@@ -212,7 +205,6 @@ def _parse_values(opt: _Options) -> list[float]:
 
 
 def _cmd_sweep(opt: _Options) -> int:
-    _check_format(opt, "csv")
     vary = opt.get("vary", cast=str)
     if vary not in ("h0", "tinf", "alpha"):
         raise UsageError("sweep needs --vary h0|tinf|alpha")
@@ -247,7 +239,6 @@ def _cmd_sweep(opt: _Options) -> int:
 
 
 def _cmd_field(opt: _Options) -> int:
-    _check_format(opt, "csv")
     sol = solve_front(_resolve_problem(opt))
     tmax = opt.get("tmax", 1.0)
     nx = int(opt.get("nx", 50, cast=int))
@@ -281,7 +272,6 @@ def _cmd_field(opt: _Options) -> int:
 
 
 def _cmd_equiv(opt: _Options) -> int:
-    _check_format(opt, "json")
     to = opt.get("to", cast=str)
     if to not in ("temperature", "flux", "convective"):
         raise UsageError("equiv needs --to temperature|flux|convective")
@@ -312,7 +302,6 @@ def _cmd_equiv(opt: _Options) -> int:
 
 
 def _cmd_verify(opt: _Options) -> int:
-    _check_format(opt, "json")
     problem = _resolve_problem(opt)
     t_end = opt.get("t_end", 1.0)
     nx = int(opt.get("nx_oracle", 2000, cast=int))
@@ -372,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--t0", type=float, help="face temperature coefficient")
     shared.add_argument("--c", type=float, help="face flux coefficient")
     shared.add_argument("--out", type=str, help="output path (default stdout)")
-    shared.add_argument("--format", type=str, choices=("csv", "json"))
 
     parser = argparse.ArgumentParser(
         prog="stefan-kummer",

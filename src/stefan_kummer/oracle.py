@@ -1,8 +1,11 @@
 """Fixed-grid enthalpy solver used as ground truth for the closed form.
 
-The scheme shares no code with the similarity solution: it integrates the
-heat equation on a cell-centered grid and tracks the melting front
-through a per-cell latent-heat budget.  Cell i (center x_i, width dx)
+The scheme shares no code with the closed form (it takes only the problem
+data types from ``stefan``): it integrates the heat equation on a
+cell-centered grid and tracks the melting front through a per-cell
+latent-heat budget.  Its default warm start is the one place that reads
+the closed form: ``solve_front``'s front and temperature at the start
+time give the initial state (see below).  Cell i (center x_i, width dx)
 carries a per-area heat content H_i; the first lam_i = gamma * x_i**alpha
 * dx of it melts the cell (midpoint rule for the position-dependent latent
 heat) and the excess is sensible heat with volumetric capacity k/d, so the
@@ -36,15 +39,17 @@ face lets in the exact time integral of its datum over the step.
 The step is dt = 2 * dt_safety * dx * t / max(s, dx) for the current
 oracle front s.  As s grows like sqrt(t), the front then crosses about
 dt_safety cells per step, so the step count grows linearly in nx, and a
-cold start (s = 0) grows t geometrically.  Steps are clipped to land on
-the snapshot times.  The update is conservative, so the energy-balance
-drift it reports measures bookkeeping consistency.
+cold start (s = 0) grows t geometrically.  Every step is recorded: the
+result holds the time and front at the start and after each step (so
+``np.diff(result.times)`` is the step history), and temperature
+snapshots at ten equally spaced times after the start, which the steps
+are clipped to land on.  The update is conservative, so the
+energy-balance drift it reports measures bookkeeping consistency.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +70,9 @@ __all__ = [
 # a cold start on a fine grid come close.
 _MAX_NEWTON_ITERATIONS = 200
 
+# Temperature snapshots per run, at equally spaced times after the start.
+_N_SNAPSHOTS = 10
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -82,8 +90,6 @@ class OracleConfig:
     dt_safety: float = 0.2
     start_fraction: float = 0.01
     cold_start: bool = False
-    n_front_records: int = 200
-    n_snapshots: int = 10
 
     def __post_init__(self):
         if not (math.isfinite(self.domain_length) and self.domain_length > 0.0):
@@ -98,8 +104,6 @@ class OracleConfig:
             raise ValueError("dt_safety must lie in (0, 0.5]")
         if not 0.0 < self.start_fraction <= 1.0:
             raise ValueError("start_fraction must lie in (0, 1]")
-        if self.n_front_records < 2 or self.n_snapshots < 1:
-            raise ValueError("need at least 2 front records and 1 snapshot")
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,12 @@ class OracleResult:
     front_positions: np.ndarray
     temperature_snapshots: tuple[tuple[float, np.ndarray], ...]
     energy_balance_drift: float
-    n_steps: int = 0
     newton_iterations: int = 0
+
+    @property
+    def n_steps(self) -> int:
+        """Time steps taken: one front record per step after the start."""
+        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,9 @@ def _check_room(m: int, nx: int, t: float) -> None:
 
 
 def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
-    """Integrate the enthalpy scheme and record front history and
-    temperature snapshots."""
+    """Integrate the enthalpy scheme, recording the time and front at the
+    start and after every step, and the temperature at ten equally spaced
+    times after the start."""
     nx = cfg.nx
     dx = cfg.domain_length / nx
     x_centers = (np.arange(nx) + 0.5) * dx
@@ -185,38 +194,20 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     inflow = _face_inflow(problem, dx)
     energy_start = math.fsum(H)
     energy_in = 0.0
-    front_targets = np.linspace(t0, cfg.t_end, cfg.n_front_records).tolist()
-    snap_targets = np.linspace(t0, cfg.t_end, cfg.n_snapshots + 1)[1:].tolist()
-    times: list[float] = []
-    fronts: list[float] = []
+    snap_times = np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist()
     snapshots: list[tuple[float, np.ndarray]] = []
-    front_ptr = snap_ptr = 0
 
     def front() -> float:
         # the melted length: the block plus the liquid fraction of cell m,
         # at most 1 since every step ends with H[m] <= lam[m]
         return (m + H[m] / lam[m]) * dx
 
-    def record(t: float) -> None:
-        # at most one record per step, once a target time is reached
-        nonlocal front_ptr, snap_ptr
-        due = bisect_right(front_targets, t)
-        if due > front_ptr:
-            times.append(t)
-            fronts.append(front())
-            front_ptr = due
-        due = bisect_right(snap_targets, t)
-        if due > snap_ptr:
-            snapshots.append((t, _temperature(np.array(H), lam_arr, 1.0 / heat_capacity)))
-            snap_ptr = due
-
-    n_steps = 0
     newton_iterations = 0
     t = t0
-    record(t)
+    times, fronts = [t], [front()]
     while t < cfg.t_end:
         dt = 2.0 * cfg.dt_safety * dx * t / max(front(), dx)
-        t_new = min(t + dt, snap_targets[snap_ptr])
+        t_new = min(t + dt, snap_times[len(snapshots)])
         dt = t_new - t
         a, b = inflow(t, dt)
         rdt = problem.k / dx * dt  # interior face conductance times dt
@@ -260,9 +251,12 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
             H[i] = lam[i] + heat_capacity * u
         energy_in += a - b * u  # u is u_0 here, or 0 with no melted block
         newton_iterations += iterations
-        n_steps += 1
         t = t_new
-        record(t)
+        times.append(t)
+        fronts.append(front())
+        # no step passes the next snapshot time, so >= means it landed on it
+        if t >= snap_times[len(snapshots)]:
+            snapshots.append((t, _temperature(np.array(H), lam_arr, 1.0 / heat_capacity)))
 
     energy_end = math.fsum(H)
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)
@@ -275,7 +269,6 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         front_positions=np.asarray(fronts),
         temperature_snapshots=tuple(snapshots),
         energy_balance_drift=drift,
-        n_steps=n_steps,
         newton_iterations=newton_iterations,
     )
 

@@ -40,6 +40,10 @@ data is formed and nothing under- or overflows before the series
 themselves do.  A bracketed, bisection-safeguarded Newton iteration stops
 at |G| <= 1e-12 and returns the fully determined closed form.
 
+For integer alpha the same face relation gives repeated-erfc forms of the
+front equation and the field for every family (``front_equation_integer_alpha``,
+``temperature_integer_alpha``), a cross-check that sums no Kummer series.
+
 Only the melting case is modelled (all data positive).  The freezing case
 maps onto it by flipping the signs of gamma and of the boundary datum, so
 it is rejected at construction rather than duplicated.
@@ -290,20 +294,32 @@ def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
     summed at positive argument, so both are sums of positive terms, and
     B = -r A with r = g_e / g_o.  q = 0 fixes A = g / p; otherwise
     B (q kappa - p / r) = g is divided by max(1, kappa), so that neither
-    kappa = k / (2 sqrt d) nor 1 / kappa is formed where it overflows.
+    kappa = k / (2 sqrt d) nor 1 / kappa is formed where it overflows, and
+    the flux face (p = 0) forms B = g / (q kappa) without kappa where kappa
+    is subnormal.  A coefficient beyond double range raises OverflowError.
     """
     alpha = problem.alpha
     p, q, g = problem.boundary.face_relation()
     z = nu * nu
     g_o = nu * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
     r = kummer_m(alpha / 2.0 + 0.5, 0.5, z) / g_o
+    k, two_sqrt_d = problem.k, 2.0 * math.sqrt(problem.d)
     if not q:
         coeff_even = g / p
-        return coeff_even, -coeff_even * r
-    k, two_sqrt_d = problem.k, 2.0 * math.sqrt(problem.d)
-    s, s_kappa = (two_sqrt_d / k, 1.0) if k > two_sqrt_d else (1.0, k / two_sqrt_d)
-    coeff_odd = g * s / (q * s_kappa - p * s / r)
-    return -coeff_odd / r, coeff_odd
+        coeff_odd = -coeff_even * r
+    else:
+        s, s_kappa = (two_sqrt_d / k, 1.0) if k > two_sqrt_d else (1.0, k / two_sqrt_d)
+        if p or s_kappa >= sys.float_info.min:
+            coeff_odd = g * s / (q * s_kappa - p * s / r)
+        else:  # flux face, kappa subnormal or 0: B = g / (q kappa) without kappa
+            coeff_odd = g * two_sqrt_d / (q * k)
+        coeff_even = -coeff_odd / r
+    if math.isinf(coeff_odd) or math.isinf(coeff_even):
+        raise OverflowError(
+            f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow double "
+            f"precision (g = {g!r}, k = {k!r}, 2 sqrt d = {two_sqrt_d!r}, g_e / g_o = {r!r})"
+        )
+    return coeff_even, coeff_odd
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -451,67 +467,50 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     )
 
 
-def _integer_exponent(problem: ProblemSpec) -> int:
+def _integer_basis(problem: ProblemSpec, x: float) -> tuple[float, float, float]:
+    """For integer alpha = n, the basis values even = M(-n/2, 1/2, -x^2) =
+    2^n Gamma(n/2+1) E_n(x) and odd = x M(-n/2+1/2, 3/2, -x^2) =
+    2^(n-1) Gamma(n/2+1/2) F_n(x), and (p odd - q kappa even) / g from the
+    face relation p A + q kappa B = g."""
     n = problem.alpha
     if n != math.floor(n):
         raise ValueError(f"alpha={n} is not a non-negative integer")
-    return int(n)
+    n = int(n)
+    even = 2.0**n * gamma_fn(n / 2.0 + 1.0) * e_n(n, x)
+    odd = 2.0 ** (n - 1) * gamma_fn(n / 2.0 + 0.5) * f_n(n, x)
+    p, q, g = problem.boundary.face_relation()
+    kappa = problem.k / (2.0 * math.sqrt(problem.d))
+    return even, odd, (p * odd - q * kappa * even) / g
 
 
 def front_equation_integer_alpha(problem: ProblemSpec, x: float) -> float:
-    """Residual of the integer-exponent front equation for the convective
-    variant, written with the even/odd repeated-erfc combinations.
+    """Residual C g / (p odd(x) - q kappa even(x)) - x^(n+1) exp(x^2) of the
+    front equation for integer alpha = n, in repeated-erfc form, for every
+    boundary family.
 
-    Its positive root coincides with ``solve_front``'s nu; the two forms
-    are linked by M(-n/2, 1/2, -y^2) = 2^n Gamma(n/2+1) E_n(y) and
-    y M(-n/2+1/2, 3/2, -y^2) = 2^{n-1} Gamma(n/2+1/2) F_n(y).
+    Kummer's transformation M(a, b, z) = e^z M(b-a, b, -z) makes g_e and
+    g_o exp(x^2) times even and odd, so this is the front equation times
+    exp(-x^2), and its positive root is ``solve_front``'s nu.
     """
-    if not isinstance(problem.boundary, Convective):
-        raise ValueError("integer-exponent front equation applies to the convective variant")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"x must be positive, got {x}")
-    n = _integer_exponent(problem)
-    b = problem.boundary
-    d, k, gamma = problem.d, problem.k, problem.gamma
-    denom = (
-        gamma
-        * d ** ((n + 1.0) / 2.0)
-        * 2.0 ** (2 * n)
-        * (
-            gamma_fn(n / 2.0 + 1.0) * e_n(n, x)
-            + math.sqrt(d) * b.h0 / k * gamma_fn(n / 2.0 + 0.5) * f_n(n, x)
-        )
-    )
-    return b.h0 * b.t_inf / denom - x ** (n + 1.0) * math.exp(x * x)
+    n, d = problem.alpha, problem.d
+    c_front = problem.k / (2.0 * math.sqrt(d)) / (problem.gamma * 2.0**n * d ** ((n + 1.0) / 2.0))
+    return c_front / _integer_basis(problem, x)[2] - x ** (n + 1.0) * math.exp(x * x)
 
 
 def temperature_integer_alpha(sol: SimilaritySolution, x: float, t: float) -> float:
-    """Convective-variant temperature in even/odd repeated-erfc form.
+    """Temperature for integer alpha = n in repeated-erfc form, for every
+    boundary family:
 
-    Valid only for integer alpha; used as an independent cross-check of
-    ``SimilaritySolution.temperature``.
+        u = t^(n/2) g (odd(nu) even(eta) - even(nu) odd(eta)) / (p odd(nu) - q kappa even(nu)),
+
+    whose coefficients meet the face relation and u(s(t), t) = 0.  An
+    independent cross-check of ``SimilaritySolution.temperature``.
     """
-    problem = sol.problem
-    if not isinstance(problem.boundary, Convective):
-        raise ValueError("integer-exponent temperature applies to the convective variant")
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    n = _integer_exponent(problem)
-    b = problem.boundary
-    d, k = problem.d, problem.k
-    eta = x / (2.0 * math.sqrt(d * t))
-    nu = sol.nu
-    g_half = gamma_fn(n / 2.0 + 0.5)
-    g_one = gamma_fn(n / 2.0 + 1.0)
-    numerator = (
-        -(t ** (n / 2.0))
-        * 2.0**n
-        * b.h0
-        * b.t_inf
-        * math.sqrt(d)
-        * g_half
-        * g_one
-        * (f_n(n, eta) * e_n(n, nu) - f_n(n, nu) * e_n(n, eta))
-    )
-    denominator = k * g_one * e_n(n, nu) + math.sqrt(d) * b.h0 * g_half * f_n(n, nu)
-    return numerator / denominator
+    problem = sol.problem
+    even_nu, odd_nu, denominator = _integer_basis(problem, sol.nu)
+    even, odd, _ = _integer_basis(problem, x / (2.0 * math.sqrt(problem.d * t)))
+    return t ** (problem.alpha / 2.0) * (odd_nu * even - even_nu * odd) / denominator

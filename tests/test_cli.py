@@ -74,6 +74,17 @@ def test_solve_residual_finite_where_nu_power_overflows(tmp_path):
     assert abs(payload["residual"]) <= 1e-12
 
 
+@pytest.mark.parametrize("d", ["1e60", "1e20"])
+def test_solve_coefficient_beyond_double_range_exits_3(capsys, d):
+    # B = -c / kappa is beyond double range.  With d = 1e60 kappa
+    # underflowed to 0 (a ZeroDivisionError traceback); with d = 1e20 the
+    # infinite coefficients were reported as invalid data.
+    assert run(["solve", "--alpha", "1", "--c", "1", "--k", "1e-300", "--d", d]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "numerical-failure"
+    assert "overflow" in record["detail"]
+
+
 def test_solve_missing_boundary_datum_exits_2(capsys):
     assert run(["solve", "--alpha", "0.4"]) == 2
     record = json.loads(capsys.readouterr().err)

@@ -195,7 +195,6 @@ def test_cell_melts_fully_within_one_step():
         cold_start=True,
         start_fraction=0.05,
         dt_safety=0.5,
-        n_front_records=5000,  # denser than the steps: every step is recorded
     )
     result = run_oracle(FIG9, cfg)
     dx = cfg.domain_length / cfg.nx
@@ -207,6 +206,17 @@ def test_cell_melts_fully_within_one_step():
     for _, u in result.temperature_snapshots:
         assert u.min() >= -1e-12
     assert result.energy_balance_drift <= 1e-10
+
+
+def test_every_step_recorded_and_snapshots_on_fixed_times():
+    cfg = short_config(FIG9)
+    result = run_oracle(FIG9, cfg)
+    t0 = cfg.start_fraction * cfg.t_end
+    assert len(result.times) == len(result.front_positions) == result.n_steps + 1
+    assert result.times[0] == t0 and result.times[-1] == cfg.t_end
+    assert np.all(np.diff(result.times) > 0.0)
+    snap_times = [t for t, _ in result.temperature_snapshots]
+    assert snap_times == np.linspace(t0, cfg.t_end, 11)[1:].tolist()
 
 
 def test_step_count_linear_in_nx():

@@ -313,6 +313,11 @@ def test_face_relation_holds_for_each_family():
     # and here 1/kappa is 2e310
     (1e-300, 1e20, Convective(h0=1.0, t_inf=1.0)),
     (1e-300, 1e20, Temperature(t0=1.0)),
+    # kappa = 5e-331 underflows to 0, yet B = -c / kappa = -2e30 is in
+    # range: a ZeroDivisionError before; and a subnormal kappa = 5e-323
+    # made B 1.2% off
+    (1e-300, 1e60, Flux(c=1e-300)),
+    (1e-300, 1e44, Flux(c=1e-300)),
 ])
 def test_face_relation_holds_at_extreme_conductivity(k, d, boundary):
     p = ProblemSpec(alpha=1.0, boundary=boundary, k=k, d=d)
@@ -715,10 +720,24 @@ def test_integer_alpha_rejects_fractional_exponent():
         temperature_integer_alpha(solve_front(FIG9), 0.1, 1.0)
 
 
-def test_integer_alpha_rejects_non_convective():
-    p = ProblemSpec(alpha=1.0, boundary=Temperature(t0=1.0))
-    with pytest.raises(ValueError):
-        front_equation_integer_alpha(p, 0.5)
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("boundary", [
+    Convective(h0=0.5, t_inf=1.0), Temperature(t0=1.0), Flux(c=1.0),
+], ids=["convective", "temperature", "flux"])
+def test_integer_alpha_forms_hold_for_every_family(boundary, n):
+    # The repeated-erfc forms come from the face relation p A + q kappa B = g,
+    # so they hold for all three families.
+    for gamma, d, k in ((1.0, 1.0, 1.0), (0.4, 2.1, 0.7), (3.0, 0.5, 2.0)):
+        p = ProblemSpec(alpha=float(n), boundary=boundary, gamma=gamma, d=d, k=k)
+        sol = solve_front(p)
+        root = bisect(lambda x: front_equation_integer_alpha(p, x), 1e-6, 10.0)
+        assert abs(root - sol.nu) <= 1e-10, (gamma, d, k)
+        for t in (0.5, 2.0):
+            face = sol.temperature(0.0, t)
+            for frac in (0.0, 0.3, 0.7, 0.99):
+                x = frac * sol.front_position(t)
+                got = temperature_integer_alpha(sol, x, t)
+                assert abs(got - sol.temperature(x, t)) <= 1e-12 * face, (gamma, d, k, t, frac)
 
 
 @pytest.mark.parametrize("problem", [

@@ -6,10 +6,16 @@ JSON), ``sweep`` (front coefficient along a parameter grid as CSV),
 conversion report as JSON), ``verify`` (closed form against the
 finite-difference oracle, JSON report).
 
-Problem data default to gamma = d = k = 1.  A key=value config file named
-by the STEFAN_KUMMER_CONFIG environment variable supplies defaults; flags
-given on the command line win.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 numerical failure.
+Each option's type and default are declared with its flag, and
+``stefan-kummer <command> --help`` lists the defaults.  Every option is
+resolved once, before the subcommand runs: the command-line value if
+given, else the value of a key=value config file named by the
+STEFAN_KUMMER_CONFIG environment variable (cast by the option's type;
+keys of other subcommands are ignored), else the default.  Every
+subcommand, and each row of a sweep, builds its problem the same way,
+so a sweep over h0 or tinf needs a convective problem and exactly one
+boundary family.  Exit codes: 0 success, 1 verification failure, 2 usage
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import islice, repeat
 
 import numpy as np
@@ -77,34 +83,31 @@ def _cast_bool(raw: str) -> bool:
         return True
     if low in _FALSE_WORDS:
         return False
-    raise UsageError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-class _Options:
-    """Flag values override config-file values override builtin defaults."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._args = vars(args)
-        self._config = config
-
-    def get(self, name: str, default=None, cast=float):
-        value = self._args.get(name)
+def _resolve_options(args: argparse.Namespace, config: dict[str, str]) -> argparse.Namespace:
+    """Each option left off the command line (None) takes its config-file
+    value, cast by the option's declared type, else its declared default."""
+    resolved = vars(args).copy()
+    for name, value in vars(args).items():
         if value is not None:
-            return value
-        if name in self._config:
-            raw = self._config[name]
-            try:
-                return _cast_bool(raw) if cast is bool else cast(raw)
-            except UsageError:
-                raise
-            except ValueError as exc:
-                raise UsageError(f"bad config value {name}={raw!r}") from exc
-        return default
+            continue
+        cast, default = _DECLARED[name]
+        raw = config.get(name)
+        try:
+            resolved[name] = default if raw is None else cast(raw)
+        except ValueError as exc:
+            raise UsageError(f"bad config value {name}={raw!r}") from exc
+    return argparse.Namespace(**resolved)
 
 
-def _build_boundary(h0, tinf, t0, c):
+def _resolve_problem(args: argparse.Namespace, **varied: float) -> ProblemSpec:
+    """The problem the resolved options describe; a datum in ``varied``
+    (a sweep row's value) takes the place of its option."""
+    o = argparse.Namespace(**{**vars(args), **varied})
     families = [name for name, given in
-                (("convective", h0), ("temperature", t0), ("flux", c))
+                (("convective", o.h0), ("temperature", o.t0), ("flux", o.c))
                 if given is not None]
     if len(families) != 1:
         raise UsageError(
@@ -112,30 +115,15 @@ def _build_boundary(h0, tinf, t0, c):
             "(convective), --t0 (temperature), or --c (flux); got "
             f"{families or 'none'}"
         )
-    if h0 is not None:
-        if tinf is None:
+    if o.h0 is not None:
+        if o.tinf is None:
             raise UsageError("convective boundary needs both --h0 and --tinf")
-        return Convective(h0=h0, t_inf=tinf)
-    if t0 is not None:
-        return Temperature(t0=t0)
-    return Flux(c=c)
-
-
-def _problem_from(opt: _Options, boundary) -> ProblemSpec:
-    return ProblemSpec(
-        alpha=opt.get("alpha", 0.0),
-        boundary=boundary,
-        gamma=opt.get("gamma", 1.0),
-        d=opt.get("d", 1.0),
-        k=opt.get("k", 1.0),
-    )
-
-
-def _resolve_problem(opt: _Options) -> ProblemSpec:
-    boundary = _build_boundary(
-        opt.get("h0"), opt.get("tinf"), opt.get("t0"), opt.get("c")
-    )
-    return _problem_from(opt, boundary)
+        boundary = Convective(h0=o.h0, t_inf=o.tinf)
+    elif o.t0 is not None:
+        boundary = Temperature(t0=o.t0)
+    else:
+        boundary = Flux(c=o.c)
+    return ProblemSpec(alpha=o.alpha, boundary=boundary, gamma=o.gamma, d=o.d, k=o.k)
 
 
 def _require_positive_flag(flag: str, value: float) -> None:
@@ -173,8 +161,8 @@ def _spec_payload(prefix: str, spec: ProblemSpec) -> dict:
     return payload
 
 
-def _cmd_solve(opt: _Options) -> int:
-    sol = solve_front(_resolve_problem(opt))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    sol = solve_front(_resolve_problem(args))
     payload = {
         "nu": sol.nu,
         "coeff_even": sol.coeff_even,
@@ -182,12 +170,11 @@ def _cmd_solve(opt: _Options) -> int:
         "iterations": sol.solver_report.iterations,
         "residual": sol.solver_report.residual,
     }
-    _write_output(_json_text(payload), opt.get("out", cast=str))
+    _write_output(_json_text(payload), args.out)
     return 0
 
 
-def _parse_values(opt: _Options) -> list[float]:
-    raw = opt.get("values", cast=str)
+def _parse_values(raw: str | None) -> list[float]:
     if raw is None:
         raise UsageError("sweep needs --values v1,v2,...")
     parts = [p for p in raw.split(",") if p.strip()]
@@ -204,49 +191,32 @@ def _parse_values(opt: _Options) -> list[float]:
     return values
 
 
-def _cmd_sweep(opt: _Options) -> int:
-    vary = opt.get("vary", cast=str)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    vary = args.vary
     if vary not in ("h0", "tinf", "alpha"):
         raise UsageError("sweep needs --vary h0|tinf|alpha")
-    values = _parse_values(opt)
-    include_limit = bool(opt.get("include_limit", False, cast=bool))
-
-    def spec_for(value: float) -> ProblemSpec:
-        if vary == "h0":
-            tinf = opt.get("tinf")
-            if tinf is None:
-                raise UsageError("sweep over h0 needs --tinf")
-            return _problem_from(opt, Convective(h0=value, t_inf=tinf))
-        if vary == "tinf":
-            h0 = opt.get("h0")
-            if h0 is None:
-                raise UsageError("sweep over tinf needs --h0")
-            return _problem_from(opt, Convective(h0=h0, t_inf=value))
-        return replace(_resolve_problem(opt), alpha=value)
-
+    values = _parse_values(args.values)
+    if vary == "tinf" and args.h0 is None:
+        raise UsageError("sweep over tinf needs --h0: only a convective problem has tinf")
     rows = []
     for value in values:
-        spec = spec_for(value)
-        if include_limit and not isinstance(spec.boundary, Convective):
-            raise UsageError("--include-limit needs a convective problem")
+        spec = _resolve_problem(args, **{vary: value})
         row = [value, solve_front(spec).nu]
-        if include_limit:
+        if args.include_limit:
             row.append(solve_front(limit_problem(spec)).nu)
         rows.append(",".join(repr(float(v)) for v in row))
-    header = "param,nu,nu_infinity" if include_limit else "param,nu"
-    _write_output(_csv_text(header, rows), opt.get("out", cast=str))
+    header = "param,nu,nu_infinity" if args.include_limit else "param,nu"
+    _write_output(_csv_text(header, rows), args.out)
     return 0
 
 
-def _cmd_field(opt: _Options) -> int:
-    sol = solve_front(_resolve_problem(opt))
-    tmax = opt.get("tmax", 1.0)
-    nx = int(opt.get("nx", 50, cast=int))
-    nt = int(opt.get("nt", 50, cast=int))
+def _cmd_field(args: argparse.Namespace) -> int:
+    sol = solve_front(_resolve_problem(args))
+    tmax, nx, nt = args.tmax, args.nx, args.nt
     _require_positive_flag("--tmax", tmax)
     if nx < 2 or nt < 1:
         raise UsageError("field needs --nx >= 2, --nt >= 1")
-    xmax = opt.get("xmax", 1.2 * sol.front_position(tmax))
+    xmax = 1.2 * sol.front_position(tmax) if args.xmax is None else args.xmax
     _require_positive_flag("--xmax", xmax)
     xs = [xmax * j / (nx - 1) for j in range(nx)]
     ts = [tmax * i / nt for i in range(1, nt + 1)]
@@ -265,30 +235,27 @@ def _cmd_field(opt: _Options) -> int:
                                       islice(psi_text, n_melted), repeat(s_text + "1"))))
         solid = f"{t_text}0.0{s_text}0"
         lines.extend(x_j + solid for x_j in x_text[n_melted:])
-    _write_output(
-        _csv_text("x,t,psi,s_of_t,melted_flag", lines), opt.get("out", cast=str)
-    )
+    _write_output(_csv_text("x,t,psi,s_of_t,melted_flag", lines), args.out)
     return 0
 
 
-def _cmd_equiv(opt: _Options) -> int:
-    to = opt.get("to", cast=str)
+def _cmd_equiv(args: argparse.Namespace) -> int:
+    to = args.to
     if to not in ("temperature", "flux", "convective"):
         raise UsageError("equiv needs --to temperature|flux|convective")
-    source = _resolve_problem(opt)
+    source = _resolve_problem(args)
     if to == "temperature":
         target = convective_to_temperature(source)
     elif to == "flux":
         target = convective_to_flux(source)
     else:
-        tinf = opt.get("tinf")
-        if tinf is None:
+        if args.tinf is None:
             raise UsageError("conversion to convective needs --tinf")
         to_convective = {Temperature: temperature_to_convective,
                          Flux: flux_to_convective}.get(type(source.boundary))
         if to_convective is None:
             raise UsageError("source is already convective")
-        target = to_convective(source, tinf)
+        target = to_convective(source, args.tinf)
     report: EquivalenceReport = equivalence_report(source, target)
     payload = {
         "nu_source": report.nu_source,
@@ -297,19 +264,18 @@ def _cmd_equiv(opt: _Options) -> int:
     }
     payload.update(_spec_payload("source", report.source_spec))
     payload.update(_spec_payload("target", report.target_spec))
-    _write_output(_json_text(payload), opt.get("out", cast=str))
+    _write_output(_json_text(payload), args.out)
     return 0
 
 
-def _cmd_verify(opt: _Options) -> int:
-    problem = _resolve_problem(opt)
-    t_end = opt.get("t_end", 1.0)
-    nx = int(opt.get("nx_oracle", 2000, cast=int))
-    tol = opt.get("tol", 1e-2)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    problem = _resolve_problem(args)
+    t_end, nx, tol = args.t_end, args.nx_oracle, args.tol
     _require_positive_flag("--t-end", t_end)
     _require_positive_flag("--tol", tol)
     sol = solve_front(problem)
-    domain_length = opt.get("domain_length", 4.0 * sol.front_position(t_end))
+    domain_length = (4.0 * sol.front_position(t_end) if args.domain_length is None
+                     else args.domain_length)
     _require_positive_flag("--domain-length", domain_length)
     cfg = OracleConfig(domain_length=domain_length, t_end=t_end, nx=nx)
     result = run_oracle(problem, cfg)
@@ -337,7 +303,7 @@ def _cmd_verify(opt: _Options) -> int:
         "drift_tol": drift_tol,
         "passed": passed,
     }
-    _write_output(_json_text(payload), opt.get("out", cast=str))
+    _write_output(_json_text(payload), args.out)
     return 0 if passed else 1
 
 
@@ -350,17 +316,35 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser, and each option's (config cast, default) by name.
+
+    ``option`` declares a flag's type and default in one place.  argparse
+    itself keeps None as every default, so that an option left off the
+    command line reads None until ``_resolve_options`` fills it.
+    """
+    declared: dict[str, tuple] = {}
+
+    def option(parser, flag, type, default=None, help="", **kwargs):
+        if type is bool:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = type
+            if default is not None:
+                help = f"{help} (default {default:g})"
+        action = parser.add_argument(flag, default=None, help=help, **kwargs)
+        declared[action.dest] = (_cast_bool if type is bool else type, default)
+
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", type=float, help="latent-heat exponent (default 0)")
-    shared.add_argument("--gamma", type=float, help="latent-heat coefficient (default 1)")
-    shared.add_argument("--d", type=float, help="diffusivity (default 1)")
-    shared.add_argument("--k", type=float, help="conductivity (default 1)")
-    shared.add_argument("--h0", type=float, help="convective transfer coefficient")
-    shared.add_argument("--tinf", type=float, help="bulk temperature coefficient")
-    shared.add_argument("--t0", type=float, help="face temperature coefficient")
-    shared.add_argument("--c", type=float, help="face flux coefficient")
-    shared.add_argument("--out", type=str, help="output path (default stdout)")
+    option(shared, "--alpha", float, 0.0, "latent-heat exponent")
+    option(shared, "--gamma", float, 1.0, "latent-heat coefficient")
+    option(shared, "--d", float, 1.0, "diffusivity")
+    option(shared, "--k", float, 1.0, "conductivity")
+    option(shared, "--h0", float, help="convective transfer coefficient")
+    option(shared, "--tinf", float, help="bulk temperature coefficient")
+    option(shared, "--t0", float, help="face temperature coefficient")
+    option(shared, "--c", float, help="face flux coefficient")
+    option(shared, "--out", str, help="output path (default stdout)")
 
     parser = argparse.ArgumentParser(
         prog="stefan-kummer",
@@ -372,35 +356,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("solve", parents=[shared], help="solve one problem")
 
     sweep = sub.add_parser("sweep", parents=[shared], help="front coefficient sweep")
-    sweep.add_argument("--vary", type=str, choices=("h0", "tinf", "alpha"))
-    sweep.add_argument("--values", type=str, help="comma-separated ascending grid")
-    sweep.add_argument("--include-limit", dest="include_limit",
-                       action="store_true", default=None,
-                       help="append the large-h0 limit coefficient column")
+    option(sweep, "--vary", str, choices=("h0", "tinf", "alpha"))
+    option(sweep, "--values", str, help="comma-separated ascending grid")
+    option(sweep, "--include-limit", bool, False,
+           "append the large-h0 limit coefficient column")
 
     field = sub.add_parser("field", parents=[shared], help="temperature field grid")
-    field.add_argument("--xmax", type=float)
-    field.add_argument("--tmax", type=float)
-    field.add_argument("--nx", type=int)
-    field.add_argument("--nt", type=int)
+    option(field, "--xmax", float, help="largest x of the grid (default 1.2 s(tmax))")
+    option(field, "--tmax", float, 1.0, "last time of the grid")
+    option(field, "--nx", int, 50, "grid points in x")
+    option(field, "--nt", int, 50, "grid times")
 
     equiv = sub.add_parser("equiv", parents=[shared],
                            help="boundary-family conversion report")
-    equiv.add_argument("--to", type=str, choices=("temperature", "flux", "convective"))
+    option(equiv, "--to", str, choices=("temperature", "flux", "convective"))
 
     verify = sub.add_parser("verify", parents=[shared],
                             help="cross-validate against the enthalpy oracle")
-    verify.add_argument("--nx-oracle", dest="nx_oracle", type=int)
-    verify.add_argument("--t-end", dest="t_end", type=float)
-    verify.add_argument("--tol", type=float, help="front error tolerance (default 0.01)")
-    verify.add_argument("--domain-length", dest="domain_length", type=float)
+    option(verify, "--nx-oracle", int, 2000, "oracle grid cells")
+    option(verify, "--t-end", float, 1.0, "end time of the oracle run")
+    option(verify, "--tol", float, 1e-2,
+           "front error tolerance; the field tolerance is twice it")
+    option(verify, "--domain-length", float,
+           help="oracle domain length (default 4 s(t_end))")
 
-    return parser
+    return parser, declared
 
 
 # Built once per process: the parser holds no per-call state, and building
 # it costs as much as a small field grid.
-_PARSER = _build_parser()
+_PARSER, _DECLARED = _build_parser()
 
 
 def _error_record(kind: str, detail: str) -> None:
@@ -413,9 +398,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config_file()
-        opt = _Options(args, config)
-        return _COMMANDS[args.command](opt)
+        args = _resolve_options(args, _load_config_file())
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         _error_record("usage", str(exc))
         return 2

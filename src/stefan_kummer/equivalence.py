@@ -34,6 +34,7 @@ __all__ = [
     "convective_to_temperature",
     "temperature_to_convective",
     "convective_to_flux",
+    "flux_threshold",
     "flux_to_convective",
     "equivalence_report",
 ]
@@ -124,14 +125,19 @@ def equivalence_report(
     t_span: tuple[float, float] = (0.1, 2.0),
 ) -> EquivalenceReport:
     """Solve both problems and measure the largest temperature mismatch on
-    an nx-by-nt grid spanning the melted region of the source."""
+    an nx-by-nt grid spanning the melted region of the source over the
+    times t_span = (lo, hi), 0 < lo < hi.  An empty grid raises ValueError."""
+    t_lo, t_hi = t_span
+    if nx < 1 or nt < 1:
+        raise ValueError(f"the comparison grid needs nx >= 1 and nt >= 1, got {nx} x {nt}")
+    if not (0.0 < t_lo < t_hi < math.inf):
+        raise ValueError(f"t_span must satisfy 0 < lo < hi < inf, got {t_span}")
     sol_s = solve_front(source)
     sol_t = solve_front(target)
-    t_lo, t_hi = t_span
     t = t_lo + (t_hi - t_lo) * (np.arange(nt) + 1.0) / nt
     x = sol_s.front_position(t)[:, None] * (np.arange(nx) + 0.5) / nx
     t = t[:, None]
-    gap = np.abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)).max(initial=0.0)
+    gap = np.abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)).max()
     return EquivalenceReport(
         source_spec=source,
         target_spec=target,

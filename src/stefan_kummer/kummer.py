@@ -200,13 +200,6 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _exp_neg_sq(y: float) -> float:
-    # exp(-y*y) split so the large cancellation sits in the exactly
-    # representable truncated square.
-    yt = math.floor(y * 16.0) / 16.0
-    return math.exp(-yt * yt) * math.exp(-(y - yt) * (y + yt))
-
-
 def erfc(z: float) -> float:
     """Complementary error function for finite z (``math.erfc``)."""
     if not math.isfinite(z):
@@ -239,7 +232,7 @@ def iterated_erfc(n: int, z: float) -> float:
             if m <= n:
                 value *= r
         return value
-    prev = 2.0 * INV_SQRT_PI * _exp_neg_sq(abs(z))
+    prev = 2.0 * INV_SQRT_PI * math.exp(-z * z)
     cur = erfc(z)
     for m in range(1, n + 1):
         prev, cur = cur, -(z / m) * cur + prev / (2.0 * m)

@@ -68,13 +68,16 @@ def field_convergence_gap(
     ts: Sequence[float],
 ) -> float:
     """Largest deviation of the finite-h0 temperature from the limit
-    temperature over the sample grid xs x ts."""
+    temperature over the sample grid xs x ts.  An empty grid raises
+    ValueError."""
     boundary = _require_convective(base)
     if h0 <= 0.0:
         raise ValueError(f"h0 must be positive, got {h0}")
-    sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)))
-    sol_inf = solve_front(limit_problem(base))
     x = np.asarray(xs, dtype=float)
     t = np.asarray(ts, dtype=float)[:, None]
-    gap = np.abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)).max(initial=0.0)
+    if not (x.size and t.size):
+        raise ValueError(f"the sample grid is empty: {x.size} x values, {t.size} times")
+    sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)))
+    sol_inf = solve_front(limit_problem(base))
+    gap = np.abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)).max()
     return float(gap)

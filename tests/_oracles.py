@@ -1,15 +1,16 @@
 """Independent reference computations used by the tests.
 
 These deliberately avoid the library's own code paths: the series is
-summed directly (no reflection), roots are found by plain bisection, and
-the alpha = 0 closed forms are written out with math.erf.
+summed directly (no reflection), the front equation is written out from
+the boundary's face relation, roots are found by plain bisection, and the
+alpha = 0 closed forms are written out with math.erf.
 """
 
 from __future__ import annotations
 
 import math
 
-from stefan_kummer import ProblemSpec, front_equation_residual
+from stefan_kummer import ProblemSpec
 
 
 def direct_series_m(a: float, b: float, z: float, terms: int = 400) -> float:
@@ -23,16 +24,30 @@ def direct_series_m(a: float, b: float, z: float, terms: int = 400) -> float:
     return math.fsum(acc)
 
 
+def direct_front_residual(problem: ProblemSpec, x: float) -> float:
+    """C g / (p g_o - q kappa g_e) - x^(alpha+1), the front equation of
+    the face relation p A + q J = g, with g_e = M(alpha/2+1/2, 1/2, x^2)
+    and g_o = x M(alpha/2+1, 3/2, x^2) summed directly, kappa = k / (2 sqrt d)
+    and C = kappa / (gamma 2^alpha d^((alpha+1)/2))."""
+    alpha, d = problem.alpha, problem.d
+    p, q, g = problem.boundary.face_relation()
+    kappa = problem.k / (2.0 * math.sqrt(d))
+    c_front = kappa / (problem.gamma * 2.0**alpha * d ** ((alpha + 1.0) / 2.0))
+    g_e = direct_series_m(alpha / 2.0 + 0.5, 0.5, x * x)
+    g_o = x * direct_series_m(alpha / 2.0 + 1.0, 1.5, x * x)
+    return c_front * g / (p * g_o - q * kappa * g_e) - x ** (alpha + 1.0)
+
+
 def bisect_front(problem: ProblemSpec, iters: int = 200) -> float:
     """Unique positive root of the front equation by bracketed bisection."""
     lo, hi = 1e-8, 1.0
-    assert front_equation_residual(problem, lo) > 0.0
-    while front_equation_residual(problem, hi) > 0.0:
+    assert direct_front_residual(problem, lo) > 0.0
+    while direct_front_residual(problem, hi) > 0.0:
         lo, hi = hi, hi * 2.0
         assert hi < 1e6
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if front_equation_residual(problem, mid) > 0.0:
+        if direct_front_residual(problem, mid) > 0.0:
             lo = mid
         else:
             hi = mid

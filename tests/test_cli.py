@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -166,6 +167,20 @@ def test_sweep_unsorted_values_exits_2():
 
 def test_sweep_missing_fixed_datum_exits_2():
     assert run(["sweep", "--vary", "h0", "--values", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    # A second family beside the convective one was silently dropped.
+    ["--vary", "h0", "--t0", "1", "--tinf", "1"],
+    ["--vary", "tinf", "--h0", "1", "--c", "5"],
+    # No convective problem: the varied datum would have no effect.
+    ["--vary", "h0", "--t0", "1"],
+    ["--vary", "tinf", "--t0", "1"],
+    ["--vary", "tinf", "--c", "1"],
+])
+def test_sweep_over_convective_datum_needs_one_convective_family(capsys, args):
+    assert run(["sweep", "--values", "1,2", *args]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
 def test_sweep_numbers_round_trip(tmp_path):
@@ -406,6 +421,65 @@ def test_malformed_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
     assert run(["solve", "--t0", "1"]) == 2
     capsys.readouterr()
+
+
+def test_config_beats_default_and_flag_beats_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("nx=7\nnt=3\n")
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+    out = tmp_path / "field.csv"
+    assert run(["field", *FIG9_ARGS, "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 7 * 3
+    assert run(["field", *FIG9_ARGS, "--nt", "2", "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 7 * 2
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("nx=7\ninclude_limit=maybe\n")
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+    assert run(["solve", *FIG9_ARGS]) == 0
+    ref = solve_front(ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))).nu
+    assert json.loads(capsys.readouterr().out)["nu"] == ref
+
+
+@pytest.mark.parametrize("argv,entry", [
+    (["field", *FIG9_ARGS], "nx=seven"),
+    (["field", *FIG9_ARGS], "tmax=fast"),
+    (["sweep", "--vary", "h0", "--values", "1", "--tinf", "1"], "include_limit=maybe"),
+])
+def test_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+    assert run(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    name, _, value = entry.partition("=")
+    assert record["error"] == "usage"
+    assert f"{name}={value!r}" in record["detail"]
+
+
+def test_config_turns_include_limit_on(tmp_path, monkeypatch):
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("include_limit=yes\n")
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--vary", "h0", "--values", "1,10", "--alpha", "0.4",
+                "--tinf", "1", "--out", str(out)]) == 0
+    assert read_csv(out)[0] == ["param", "nu", "nu_infinity"]
+
+
+@pytest.mark.parametrize("command,defaults", [
+    ("solve", {"alpha": "0", "gamma": "1", "d": "1", "k": "1"}),
+    ("field", {"tmax": "1", "nx": "50", "nt": "50"}),
+    ("verify", {"t-end": "1", "nx-oracle": "2000", "tol": "0.01"}),
+])
+def test_help_lists_defaults(capsys, command, defaults):
+    assert run([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in defaults.items():
+        assert re.search(rf"--{flag} [A-Z_]+ (?:(?!--).)*\(default {re.escape(default)}\)",
+                         text), flag
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):

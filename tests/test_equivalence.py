@@ -177,3 +177,28 @@ def test_equivalence_report_matches_pointwise_reference():
             gap = max(gap, abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)))
             scale = max(scale, abs(sol_s.temperature(x, t)))
     assert abs(rep.max_temperature_gap - gap) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"nx": 0}, {"nt": 0}, {"nx": -3},
+    {"t_span": (0.0, 1.0)}, {"t_span": (1.0, 1.0)}, {"t_span": (2.0, 1.0)},
+    {"t_span": (0.1, math.inf)}, {"t_span": (math.nan, 1.0)},
+])
+def test_equivalence_report_rejects_empty_grid(kwargs):
+    # nx = 0 reported a gap of 0.0 even between problems that differ.
+    other = ProblemSpec(alpha=0.4, boundary=Temperature(t0=5.0))
+    with pytest.raises(ValueError):
+        equivalence_report(FIG9, other, **kwargs)
+
+
+def test_package_exports_are_in_their_modules_all():
+    # Tools that walk each module's __all__ (the benchmark's tracer) see a
+    # package export only if its own module lists it.
+    import importlib
+
+    import stefan_kummer
+
+    for name in stefan_kummer.__all__:
+        module_name = getattr(getattr(stefan_kummer, name), "__module__", None)
+        if module_name and module_name.startswith("stefan_kummer."):
+            assert name in importlib.import_module(module_name).__all__, name

@@ -123,6 +123,14 @@ def test_field_gap_rejects_nonpositive_h0():
         field_convergence_gap(base, 0.0, (0.1,), (1.0,))
 
 
+@pytest.mark.parametrize("xs,ts", [((), (1.0,)), ((0.1,), ()), ([], [])])
+def test_field_gap_rejects_empty_grid(xs, ts):
+    # An empty grid read as a gap of 0.0.
+    base = ProblemSpec(alpha=0.4, boundary=Convective(h0=1.0, t_inf=1.0))
+    with pytest.raises(ValueError):
+        field_convergence_gap(base, 1.0, xs, ts)
+
+
 def test_field_gap_matches_pointwise_reference():
     # One array call per solution against a loop over the float evaluators.
     base = ProblemSpec(alpha=1.3, boundary=Convective(h0=2.0, t_inf=3.0), d=0.7)

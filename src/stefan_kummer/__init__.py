@@ -42,7 +42,6 @@ from .stefan import (
     front_equation_integer_alpha,
     front_equation_lhs,
     front_equation_residual,
-    residual_derivative,
     solve_front,
     temperature_integer_alpha,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "kummer_m_array",
     "kummer_m_derivative",
     "limit_problem",
-    "residual_derivative",
     "run_limit_study",
     "run_oracle",
     "solve_front",

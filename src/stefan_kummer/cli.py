@@ -14,7 +14,9 @@ STEFAN_KUMMER_CONFIG environment variable (cast by the option's type;
 keys of other subcommands are ignored), else the default.  Every
 subcommand, and each row of a sweep, builds its problem the same way,
 so a sweep over h0 or tinf needs a convective problem and exactly one
-boundary family.  Exit codes: 0 success, 1 verification failure, 2 usage
+boundary family, and --tinf without --h0 is a usage error (``equiv --to
+convective`` passes its --tinf to the target instead).  Flags are never
+abbreviated.  Exit codes: 0 success, 1 verification failure, 2 usage
 error, 3 numerical failure.
 """
 
@@ -115,9 +117,10 @@ def _resolve_problem(args: argparse.Namespace, **varied: float) -> ProblemSpec:
             "(convective), --t0 (temperature), or --c (flux); got "
             f"{families or 'none'}"
         )
+    if (o.h0 is None) != (o.tinf is None):
+        raise UsageError("--h0 and --tinf come together: a convective boundary "
+                         "needs both, and no other family has tinf")
     if o.h0 is not None:
-        if o.tinf is None:
-            raise UsageError("convective boundary needs both --h0 and --tinf")
         boundary = Convective(h0=o.h0, t_inf=o.tinf)
     elif o.t0 is not None:
         boundary = Temperature(t0=o.t0)
@@ -196,8 +199,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if vary not in ("h0", "tinf", "alpha"):
         raise UsageError("sweep needs --vary h0|tinf|alpha")
     values = _parse_values(args.values)
-    if vary == "tinf" and args.h0 is None:
-        raise UsageError("sweep over tinf needs --h0: only a convective problem has tinf")
     rows = []
     for value in values:
         spec = _resolve_problem(args, **{vary: value})
@@ -243,19 +244,20 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     to = args.to
     if to not in ("temperature", "flux", "convective"):
         raise UsageError("equiv needs --to temperature|flux|convective")
-    source = _resolve_problem(args)
-    if to == "temperature":
-        target = convective_to_temperature(source)
-    elif to == "flux":
-        target = convective_to_flux(source)
-    else:
+    if to == "convective":
+        # --tinf is the target's bulk coefficient, so it bypasses the source.
+        if args.h0 is not None:
+            raise UsageError("source is already convective")
         if args.tinf is None:
             raise UsageError("conversion to convective needs --tinf")
+        source = _resolve_problem(args, tinf=None)
         to_convective = {Temperature: temperature_to_convective,
-                         Flux: flux_to_convective}.get(type(source.boundary))
-        if to_convective is None:
-            raise UsageError("source is already convective")
+                         Flux: flux_to_convective}[type(source.boundary)]
         target = to_convective(source, args.tinf)
+    else:
+        source = _resolve_problem(args)
+        target = (convective_to_temperature if to == "temperature"
+                  else convective_to_flux)(source)
     report: EquivalenceReport = equivalence_report(source, target)
     payload = {
         "nu_source": report.nu_source,
@@ -335,7 +337,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         action = parser.add_argument(flag, default=None, help=help, **kwargs)
         declared[action.dest] = (_cast_bool if type is bool else type, default)
 
-    shared = argparse.ArgumentParser(add_help=False)
+    # No abbreviations: a prefix of one flag (--nx) must not run as another.
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     option(shared, "--alpha", float, 0.0, "latent-heat exponent")
     option(shared, "--gamma", float, 1.0, "latent-heat coefficient")
     option(shared, "--d", float, 1.0, "diffusivity")
@@ -350,29 +353,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         prog="stefan-kummer",
         description="Similarity solutions of one-phase melting with "
         "position-dependent latent heat",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("solve", parents=[shared], help="solve one problem")
+    def command(name, help):
+        return sub.add_parser(name, parents=[shared], help=help, allow_abbrev=False)
 
-    sweep = sub.add_parser("sweep", parents=[shared], help="front coefficient sweep")
+    command("solve", "solve one problem")
+
+    sweep = command("sweep", "front coefficient sweep")
     option(sweep, "--vary", str, choices=("h0", "tinf", "alpha"))
     option(sweep, "--values", str, help="comma-separated ascending grid")
     option(sweep, "--include-limit", bool, False,
            "append the large-h0 limit coefficient column")
 
-    field = sub.add_parser("field", parents=[shared], help="temperature field grid")
+    field = command("field", "temperature field grid")
     option(field, "--xmax", float, help="largest x of the grid (default 1.2 s(tmax))")
     option(field, "--tmax", float, 1.0, "last time of the grid")
     option(field, "--nx", int, 50, "grid points in x")
     option(field, "--nt", int, 50, "grid times")
 
-    equiv = sub.add_parser("equiv", parents=[shared],
-                           help="boundary-family conversion report")
+    equiv = command("equiv", "boundary-family conversion report")
     option(equiv, "--to", str, choices=("temperature", "flux", "convective"))
 
-    verify = sub.add_parser("verify", parents=[shared],
-                            help="cross-validate against the enthalpy oracle")
+    verify = command("verify", "cross-validate against the enthalpy oracle")
     option(verify, "--nx-oracle", int, 2000, "oracle grid cells")
     option(verify, "--t-end", float, 1.0, "end time of the oracle run")
     option(verify, "--tol", float, 1e-2,

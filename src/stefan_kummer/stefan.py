@@ -37,8 +37,9 @@ a strictly decreasing function whose value is a relative residual of the
 front equation.  log(C g) is a sum of logs of the data and log D is
 summed from the logs of its (one or two) positive terms, so no product of
 data is formed and nothing under- or overflows before the series
-themselves do.  A bracketed, bisection-safeguarded Newton iteration stops
-at |G| <= 1e-12 and returns the fully determined closed form.
+themselves do.  Bracketed Anderson-Bjorck false position, safeguarded by
+bisection, stops at |G| <= 1e-12; one final evaluation at the root gives G
+and, from the same series, the coefficients A and B of the closed form.
 
 For integer alpha the same face relation gives repeated-erfc forms of the
 front equation and the field for every family (``front_equation_integer_alpha``,
@@ -79,20 +80,19 @@ __all__ = [
     "SimilaritySolution",
     "front_equation_lhs",
     "front_equation_residual",
-    "residual_derivative",
     "solve_front",
     "front_equation_integer_alpha",
     "temperature_integer_alpha",
 ]
 
 # Settings of solve_front.  |G| accepted at the root (G is a relative
-# residual of the front equation), the smallest Newton step in y = log x,
-# the iteration cap, and the upper end of the bracket search for nu.
+# residual of the front equation), the iteration cap, and the upper end of
+# the bracket search for nu.
 _RESIDUAL_TOL = 1e-12
-_STEP_TOL = 1e-15
 _MAX_ITERATIONS = 100
 _MAX_NU = 1e3
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class BracketNotFoundError(RuntimeError):
@@ -189,77 +189,72 @@ class SolverReport:
     bracket: tuple[float, float]
 
 
-def _front_g(problem: ProblemSpec, power: float):
-    """The function y -> (log(C g / D(e^y)) - power y, its y-derivative).
-
-    With power = alpha + 1 it is (G, G'), with power = 0 the log of the
-    front equation's left side and its slope.  The derivative is 0.0 when
-    the call passes ``slope=False``; the series it needs are then not
-    summed.  The logs of the data are taken once, here.
+def _front_g(problem: ProblemSpec):
+    """The closures ``front_g`` and ``closed_form`` of y = log x, the one
+    place where D is formed.  ``front_g(y)`` is G(y) = log(C g) - log D(e^y)
+    - (alpha+1) y and sums only the series D needs; ``closed_form(y)`` sums
+    both and returns (G(y), A, B), which meet p A + q kappa B = g and
+    A g_e + B g_o = 0 at x = e^y.  The logs of the data are taken once.
 
     log D is summed from the logs of its positive terms, t_o of p g_o and
     t_e of -q kappa g_e, with log(e^t_o + e^t_e) = t + log1p(e^(t' - t)),
-    t the larger.  A series that overflows makes log D = inf.
-    x D' = p x M(alpha/2+1, 1/2, x^2) - q kappa 2 (alpha+1) x^2 M(alpha/2+3/2, 3/2, x^2)
-    follows from d/dz M(a,b,z) = (a/b) M(a+1,b+1,z) and
-    d/dx [x M(a, 3/2, x^2)] = M(a, 1/2, x^2); x D'/D weighs each term's
-    ratio by that term's share of D.  The series whose coefficient is 0
-    are not summed.
+    t the larger; a series that overflows makes log D = inf.  The larger
+    term has the share s = 1 / (1 + e^-|t_e - t_o|) of D.  If it is p g_o,
+    A = g s / p and B = -A r, r = g_e / g_o; else B = -g s / (-q kappa),
+    formed from log kappa, and A = -B / r.  So neither kappa nor 1 / kappa
+    is formed, and B beyond double range is -inf.  Where D has both terms,
+    t_e - t_o is taken as log(-q kappa / p) + log r: t_e and t_o are near
+    x^2, and their difference would keep their rounding.
     """
     alpha, d = problem.alpha, problem.d
     a = alpha / 2.0
     p, q, g = problem.boundary.face_relation()
     log_kappa = math.log(problem.k) - _LOG2 - 0.5 * math.log(d)
+    log_g = math.log(g)
     log_cg = (
-        log_kappa + math.log(g) - math.log(problem.gamma)
+        log_kappa + log_g - math.log(problem.gamma)
         - alpha * _LOG2 - 0.5 * (alpha + 1.0) * math.log(d)
     )
-    log_p = math.log(p) if p else None
-    log_qk = math.log(-q) + log_kappa if q else None
+    log_p = math.log(p) if p else -math.inf
+    log_qk = math.log(-q) + log_kappa if q else -math.inf
 
-    def front_g(y: float, slope: bool = True) -> tuple[float, float]:
+    def evaluate(y: float, both: bool):
         x = math.exp(y)
-        z = x * x
-        t_o = t_e = -math.inf
-        if log_p is not None:
-            m_o = kummer_m(a + 1.0, 1.5, z)
-            t_o = log_p + y + math.log(m_o)
-        if log_qk is not None:
-            m_e = kummer_m(a + 0.5, 0.5, z)
-            t_e = log_qk + math.log(m_e)
+        m_o = kummer_m(a + 1.0, 1.5, x * x) if p or both else 1.0
+        m_e = kummer_m(a + 0.5, 0.5, x * x) if q or both else 1.0
+        t_o = log_p + y + math.log(m_o) if p else -math.inf
+        t_e = log_qk + math.log(m_e) if q else -math.inf
         hi, lo = max(t_o, t_e), min(t_o, t_e)
         log_d = hi if hi == math.inf else hi + math.log1p(math.exp(lo - hi))
-        value = log_cg - log_d - power * y
-        if not slope:
-            return value, 0.0
-        ratio = 0.0
-        if log_p is not None:
-            ratio += math.exp(t_o - log_d) * kummer_m(a + 1.0, 0.5, z) / m_o
-        if log_qk is not None:
-            ratio += (math.exp(t_e - log_d) * 2.0 * (alpha + 1.0) * z
-                      * kummer_m(a + 1.5, 1.5, z) / m_e)
-        return value, -ratio - power
+        value = log_cg - log_d - (alpha + 1.0) * y
+        if not both:
+            return value
+        r = m_e / m_o / x
+        rho = log_qk - log_p + math.log(r) if p and q else t_e - t_o
+        log_share = -math.log1p(math.exp(-abs(rho)))
+        if rho <= 0.0:
+            coeff_even = g / p * math.exp(log_share)
+            coeff_odd = -coeff_even * r
+        else:
+            log_b = log_g - log_qk + log_share
+            coeff_odd = -math.exp(log_b) if log_b < _LOG_MAX else -math.inf
+            coeff_even = -coeff_odd / r
+        return value, coeff_even, coeff_odd
 
-    return front_g
+    return (lambda y: evaluate(y, False)), (lambda y: evaluate(y, True))
 
 
 def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
     """Left-hand side C g / D(x) of the front equation, a strictly
     decreasing function of x > 0."""
     _require_positive("x", x)
-    return math.exp(_front_g(problem, 0.0)(math.log(x), slope=False)[0])
+    y = math.log(x)
+    return math.exp(_front_g(problem)[0](y) + (problem.alpha + 1.0) * y)
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:
     """lhs(x) - x**(alpha+1): positive left of the root, negative right."""
     return front_equation_lhs(problem, x) - x ** (problem.alpha + 1.0)
-
-
-def residual_derivative(problem: ProblemSpec, x: float) -> float:
-    """Derivative of ``front_equation_residual`` in x (negative for x > 0)."""
-    _require_positive("x", x)
-    log_lhs, log_slope = _front_g(problem, 0.0)(math.log(x))
-    return math.exp(log_lhs) * log_slope / x - (problem.alpha + 1.0) * x**problem.alpha
 
 
 def _find_bracket(front_g) -> tuple[float, float, float, float]:
@@ -269,10 +264,10 @@ def _find_bracket(front_g) -> tuple[float, float, float, float]:
     G -> +inf as y -> -inf (log D tends to a constant, or falls like y
     for ``Temperature``), so a downward walk always ends; an upward
     walk stops at x = ``_MAX_NU``.  Where D overflows, G = -inf: right of
-    the root.  The walk sums no slope series.
+    the root.
     """
     y_max = math.log(_MAX_NU)
-    y, g = 0.0, front_g(0.0, slope=False)[0]
+    y, g = 0.0, front_g(0.0)
     up = g > 0.0
     while True:
         y_next = y + _LOG2 if up else y - _LOG2
@@ -280,46 +275,10 @@ def _find_bracket(front_g) -> tuple[float, float, float, float]:
             raise BracketNotFoundError(
                 f"no sign change of the front equation below x={_MAX_NU}"
             )
-        g_next = front_g(y_next, slope=False)[0]
+        g_next = front_g(y_next)
         if (g_next > 0.0) != up:
             return (y, y_next, g, g_next) if up else (y_next, y, g_next, g)
         y, g = y_next, g_next
-
-
-def _coefficients(problem: ProblemSpec, nu: float) -> tuple[float, float]:
-    """Series coefficients (even A, odd B) from the face relation
-    p A + q kappa B = g and zero temperature at the front, A g_e + B g_o = 0.
-
-    g_e and g_o are exp(nu^2) times the basis functions at the front,
-    summed at positive argument, so both are sums of positive terms, and
-    B = -r A with r = g_e / g_o.  q = 0 fixes A = g / p; otherwise
-    B (q kappa - p / r) = g is divided by max(1, kappa), so that neither
-    kappa = k / (2 sqrt d) nor 1 / kappa is formed where it overflows, and
-    the flux face (p = 0) forms B = g / (q kappa) without kappa where kappa
-    is subnormal.  A coefficient beyond double range raises OverflowError.
-    """
-    alpha = problem.alpha
-    p, q, g = problem.boundary.face_relation()
-    z = nu * nu
-    g_o = nu * kummer_m(alpha / 2.0 + 1.0, 1.5, z)
-    r = kummer_m(alpha / 2.0 + 0.5, 0.5, z) / g_o
-    k, two_sqrt_d = problem.k, 2.0 * math.sqrt(problem.d)
-    if not q:
-        coeff_even = g / p
-        coeff_odd = -coeff_even * r
-    else:
-        s, s_kappa = (two_sqrt_d / k, 1.0) if k > two_sqrt_d else (1.0, k / two_sqrt_d)
-        if p or s_kappa >= sys.float_info.min:
-            coeff_odd = g * s / (q * s_kappa - p * s / r)
-        else:  # flux face, kappa subnormal or 0: B = g / (q kappa) without kappa
-            coeff_odd = g * two_sqrt_d / (q * k)
-        coeff_even = -coeff_odd / r
-    if math.isinf(coeff_odd) or math.isinf(coeff_even):
-        raise OverflowError(
-            f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow double "
-            f"precision (g = {g!r}, k = {k!r}, 2 sqrt d = {two_sqrt_d!r}, g_e / g_o = {r!r})"
-        )
-    return coeff_even, coeff_odd
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -401,48 +360,62 @@ class SimilaritySolution:
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     """Solve the variant's front equation for nu and assemble the closed form.
 
-    Newton's iteration on G(y) = log(C g / D(e^y)) - (alpha+1) y starts
-    from the false-position point of a sign-change bracket in y = log x
-    (``_find_bracket``); any step that would leave the current bracket is
-    replaced by bisection, so the proven monotonicity of G guarantees
-    convergence.  Each iterate's G and slope come from one set of series
-    values.  G is a relative residual, so one stop serves every scale of
-    nu: |G| <= 1e-12, followed by one more Newton correction, which the
-    returned nu includes.  The iteration also stops when a step in y falls
-    to 1e-15, and in either case the final G must meet the residual stop.
-    ``SolverReport.residual`` is the relative residual
-    lhs / nu**(alpha+1) - 1 = expm1(G) of the returned nu, so it stays
-    finite where nu**(alpha+1) overflows.
+    Anderson-Bjorck false position (BIT 13, 1973) shrinks a sign-change
+    bracket of G(y) = log(C g / D(e^y)) - (alpha+1) y in y = log x
+    (``_find_bracket``) and needs no derivative.  It bisects where false
+    position leaves the bracket (as where G = -inf at its upper end) and
+    after two steps that did not halve |G|, which bounds the distance to
+    the root (G' <= -(alpha+1)).  G is a relative residual, so one stop
+    serves every scale of nu: |G| <= 1e-12, then one secant correction
+    through the previous iterate.  The iteration also stops when no float
+    lies inside the bracket.  One final evaluation at nu checks |G| <= 1e-12
+    and gives the series coefficients (``_front_g``).  ``SolverReport.residual``
+    is expm1(G) = lhs / nu**(alpha+1) - 1, finite where nu**(alpha+1) overflows.
     """
-    front_g = _front_g(problem, problem.alpha + 1.0)
+    front_g, closed_form = _front_g(problem)
     lo, hi, g_lo, g_hi = _find_bracket(front_g)
     bracket = (math.exp(lo), math.exp(hi))
-    y = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-    if not lo < y < hi:
-        y = 0.5 * (lo + hi)
+    # The previous iterate (first the bracket end nearer the root), the
+    # side of the root it lies on, and the count of steps that did not halve |G|.
+    y_prev, g_prev, side = (lo, g_lo, 1) if g_lo < -g_hi else (hi, g_hi, -1)
+    stalls = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        g, slope = front_g(y)
-        if g > 0.0:
-            lo = y
-        elif g < 0.0:
-            hi, g_hi = y, g
-        small = abs(g) <= _RESIDUAL_TOL
-        trial = y - g / slope if slope < 0.0 else math.nan
-        if not (lo < trial < hi):
-            if small:
+        width = hi - lo
+        y = lo + width * g_lo / (g_lo - g_hi)
+        bisect = stalls >= 2 or not lo < y < hi
+        if bisect:
+            y = lo + 0.5 * width
+            if not lo < y < hi:
                 break
-            trial = 0.5 * (lo + hi)
-        step = abs(trial - y)
-        y = trial
-        if small or step <= _STEP_TOL:
-            g = front_g(y, slope=False)[0]
+        g = front_g(y)
+        if abs(g) <= _RESIDUAL_TOL:
+            trial = y - g * (y - y_prev) / (g - g_prev) if g != g_prev else y
+            if lo < trial < hi:
+                y = trial
             break
+        # The end kept a second time in a row is scaled by Anderson and
+        # Bjorck's m = 1 - G(y) / G(replaced end), or by 1/2 where m <= 0.
+        if g > 0.0:
+            if side > 0:
+                g_hi *= 1.0 - g / g_lo if g < g_lo else 0.5
+            lo, g_lo, side = y, g, 1
+        else:
+            if side < 0:
+                g_lo *= 1.0 - g / g_hi if g > g_hi else 0.5
+            hi, g_hi, side = y, g, -1
+        stalls = 0 if bisect or abs(g) <= 0.5 * abs(g_prev) else stalls + 1
+        y_prev, g_prev = y, g
     else:
         raise NonConvergenceError(
             f"front-coefficient iteration did not converge in "
             f"{_MAX_ITERATIONS} iterations (last log residual {g})"
         )
     nu = math.exp(y)
+    if nu < sys.float_info.min:
+        raise BracketNotFoundError(
+            f"the front coefficient exp({y}) underflows double precision"
+        )
+    g, coeff_even, coeff_odd = closed_form(y)
     if not abs(g) <= _RESIDUAL_TOL:
         if g_hi == -math.inf:
             raise BracketNotFoundError(
@@ -452,11 +425,11 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
         raise NonConvergenceError(
             f"front-coefficient log residual {g} above tolerance at nu={nu}"
         )
-    if nu < sys.float_info.min:
-        raise BracketNotFoundError(
-            f"the front coefficient exp({y}) underflows double precision"
+    if math.isinf(coeff_odd) or math.isinf(coeff_even):
+        raise OverflowError(
+            f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow "
+            f"double precision ({problem!r})"
         )
-    coeff_even, coeff_odd = _coefficients(problem, nu)
     report = SolverReport(iterations=iterations, residual=math.expm1(g), bracket=bracket)
     return SimilaritySolution(
         problem=problem,

@@ -100,6 +100,31 @@ def test_solve_convective_needs_tinf():
     assert run(["solve", "--alpha", "0.4", "--h0", "1"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    # --nx is a field option; it ran as --nx-oracle.
+    ["verify", "--alpha", "0.4", "--t0", "1", "--nx", "60", "--t-end", "0.25"],
+    # --gam ran as --gamma.
+    ["solve", "--t0", "1", "--gam", "3"],
+])
+def test_abbreviated_flag_exits_2(capsys, args):
+    assert run(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    # --tinf was silently ignored beside a non-convective family.
+    ["solve", "--alpha", "0.4", "--t0", "1", "--tinf", "5"],
+    ["field", "--c", "1", "--tinf", "5", "--nx", "3", "--nt", "1"],
+    ["sweep", "--vary", "alpha", "--values", "1,2", "--t0", "1", "--tinf", "5"],
+    ["verify", "--t0", "1", "--tinf", "5", "--nx-oracle", "20"],
+    ["equiv", "--t0", "1", "--tinf", "5", "--to", "temperature"],
+])
+def test_tinf_without_h0_exits_2(capsys, args):
+    assert run(args) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "usage" and "--tinf" in record["detail"]
+
+
 def test_solve_rejects_csv_format():
     assert run(["solve", *FIG9_ARGS, "--format", "csv"]) == 2
 

@@ -20,7 +20,6 @@ from .kummer import (
     gamma_fn,
     iterated_erfc,
     kummer_m,
-    kummer_m_array,
     kummer_m_derivative,
 )
 from .limits import LimitStudy, field_convergence_gap, limit_problem, run_limit_study
@@ -78,7 +77,6 @@ __all__ = [
     "gamma_fn",
     "iterated_erfc",
     "kummer_m",
-    "kummer_m_array",
     "kummer_m_derivative",
     "limit_problem",
     "run_limit_study",

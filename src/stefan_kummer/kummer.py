@@ -5,26 +5,18 @@ kind, its z-derivative, checked wrappers of ``math.gamma`` and
 ``math.erfc``, and the repeated integrals i^n erfc used by the
 integer-exponent closed forms.
 
-``kummer_m`` takes floats only.  ``kummer_m_array`` sums the same series
-for scalar (a, b) over a numpy array of arguments z, with the same domain
-(finite z >= -200), so that a whole grid of field values costs one call;
-it sums small inputs with ``kummer_m``, which the front solve calls.
-
-All functions here are pure functions of their arguments with no shared
-mutable state (the array form allocates its work arrays per call); they
-are safe to call from any number of threads.
+All functions here take floats and are pure functions of their
+arguments with no shared mutable state; they are safe to call from any
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "NonConvergenceError",
     "kummer_m",
-    "kummer_m_array",
     "kummer_m_derivative",
     "gamma_fn",
     "erfc",
@@ -41,17 +33,15 @@ _SERIES_TERM_CAP = 10_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
 _MIN_ARGUMENT = -200.0
-# Arrays smaller than this are summed element by element with kummer_m:
-# each term of the array series costs about a dozen numpy calls, which
-# outweighs the float loop below about 70 elements.
-_ARRAY_SERIES_MIN_SIZE = 64
 
 
 class NonConvergenceError(RuntimeError):
     """An iteration failed to meet its stopping criterion."""
 
 
-def _check_b(b: float) -> None:
+def _check_args(a: float, b: float, z: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise ValueError("kummer_m arguments must be finite")
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"parameter b={b} must not be a non-positive integer")
 
@@ -74,11 +64,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     arguments overflow to inf.
 
     Takes floats only: an array z of more than one element raises
-    TypeError.  ``kummer_m_array`` evaluates an array of arguments.
+    TypeError.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise ValueError("kummer_m arguments must be finite")
-    _check_b(b)
+    _check_args(a, b, z)
     if z < _MIN_ARGUMENT:
         raise ValueError(f"argument z={z} below supported range ({_MIN_ARGUMENT})")
     if z < 0.0:
@@ -109,81 +97,9 @@ def _m_series(a: float, b: float, z: float) -> float:
     )
 
 
-def float_map(fn, values: np.ndarray) -> np.ndarray:
-    """fn applied to each element as a Python float.
-
-    For libm functions in place of their numpy ufuncs: numpy's vectorised
-    exp and power differ from libm in the last bit for about one argument
-    in twenty, and the array forms here must reproduce the float forms
-    exactly.
-    """
-    mapped = list(map(fn, values.ravel().tolist()))
-    return np.array(mapped, dtype=float).reshape(values.shape)
-
-
-def kummer_m_array(a: float, b: float, z) -> np.ndarray:
-    """M(a, b, z) for float a, b over every element of an array z.
-
-    Each element is summed as ``kummer_m`` sums it: the same reflection
-    for z < 0, the same term recurrence and the same stop, applied per
-    element, so an element leaves the sum as soon as its own last three
-    terms are small.  The results agree with ``kummer_m`` bit for bit,
-    so the accuracy and the domain are those of ``kummer_m``: any element
-    below -200 or not finite raises ValueError, and very large positive
-    elements overflow to inf.  Arrays of fewer than 64 elements are
-    summed by ``kummer_m`` itself, which is faster at that size.  Returns
-    a float array of z's shape (0-d for a 0-d z).
-    """
-    z = np.asarray(z, dtype=float)
-    if not (math.isfinite(a) and math.isfinite(b) and np.isfinite(z).all()):
-        raise ValueError("kummer_m arguments must be finite")
-    _check_b(b)
-    if z.size and z.min() < _MIN_ARGUMENT:
-        raise ValueError(f"argument z={z.min()} below supported range ({_MIN_ARGUMENT})")
-    flat = z.ravel()
-    if flat.size < _ARRAY_SERIES_MIN_SIZE:
-        return np.array([kummer_m(a, b, v) for v in flat.tolist()]).reshape(z.shape)
-    out = np.empty(flat.shape)
-    neg = flat < 0.0
-    pos = ~neg
-    out[neg] = float_map(math.exp, flat[neg]) * _m_series_array(b - a, b, -flat[neg])
-    out[pos] = _m_series_array(a, b, flat[pos])
-    return out.reshape(z.shape)
-
-
-def _m_series_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    # _m_series over a 1-d array: the live arrays hold the elements still
-    # summing, and an element is copied out and dropped once it stops.
-    out = np.ones(z.shape)
-    if not z.size:
-        return out
-    live = np.arange(z.size)
-    term = np.ones(z.shape)
-    total = np.ones(z.shape)
-    quiet = np.zeros(z.shape, dtype=np.intp)
-    # Overflow to inf is a result, as in float arithmetic, not a fault.
-    with np.errstate(over="ignore"):
-        for s in range(_SERIES_TERM_CAP):
-            term *= (a + s) / ((b + s) * (s + 1.0)) * z
-            total += term
-            quiet += 1
-            quiet *= np.abs(term) <= _SERIES_RTOL * np.abs(total)
-            done = (quiet >= _SERIES_QUIET_RUN) | np.isinf(total)
-            if done.any():
-                out[live[done]] = total[done]
-                keep = ~done
-                live, z, term, total = live[keep], z[keep], term[keep], total[keep]
-                quiet = quiet[keep]
-                if not live.size:
-                    return out
-    raise NonConvergenceError(
-        f"series for M({a}, {b}, {z[0]}) did not settle within {_SERIES_TERM_CAP} terms"
-    )
-
-
 def kummer_m_derivative(a: float, b: float, z: float) -> float:
     """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z)  (DLMF 13.3.15)."""
-    _check_b(b)
+    _check_args(a, b, z)
     if a == 0.0:
         return 0.0
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z)

@@ -41,6 +41,11 @@ themselves do.  Bracketed Anderson-Bjorck false position, safeguarded by
 bisection, stops at |G| <= 1e-12; one final evaluation at the root gives G
 and, from the same series, the coefficients A and B of the closed form.
 
+The field is not summed from that formula, whose two terms grow like
+eta^alpha and cancel in the melt: ``SimilaritySolution`` walks the profile
+f(eta) = u t^{-alpha/2} in Taylor pieces from the front, where f(nu) = 0 and
+the Stefan condition fixes f'(nu), to the face and past the front to eta = 30.
+
 For integer alpha the same face relation gives repeated-erfc forms of the
 front equation and the field for every family (``front_equation_integer_alpha``,
 ``temperature_integer_alpha``), a cross-check that sums no Kummer series.
@@ -54,21 +59,15 @@ All quantities are treated as consistent, nondimensionalized reals.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .kummer import (
-    NonConvergenceError,
-    e_n,
-    f_n,
-    float_map,
-    gamma_fn,
-    kummer_m,
-    kummer_m_array,
-)
+from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, kummer_m
 
 __all__ = [
     "BracketNotFoundError",
@@ -93,6 +92,11 @@ _MAX_ITERATIONS = 100
 _MAX_NU = 1e3
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
+# Taylor order of the pieces of the field profile.
+_PROFILE_ORDER = 30
+# Largest eta = x / (2 sqrt(d t)) at which the field is continued past the
+# front: the walk there takes a number of steps growing like eta**2.
+_MAX_ETA = 30.0
 
 
 class BracketNotFoundError(RuntimeError):
@@ -291,21 +295,68 @@ def _result(value, *args):
     return value if any(isinstance(a, np.ndarray) for a in args) else float(value)
 
 
+def _profile_walk(alpha: float, nu: float, stop: float):
+    """Nodes, Taylor pieces and last value of the unit profile g, with
+    g'' + 2 eta g' - 2 alpha g = 0, g(nu) = 0 and g'(nu) = -1, walked from nu
+    to the face for stop = 0, else outward until a node passes stop.
+
+    The piece from node eta to eta + h holds d_k = c_k h**k, g = sum d_k s**k
+    in s = (e - eta) / h, where (k+1)(k+2) d_{k+2} = -2 eta h (k+1) d_{k+1}
+    + 2 h**2 (alpha - k) d_k.  h = 2 / (eta + sqrt(eta**2 + 2 alpha) + 4)
+    keeps h at most 1/2 and h times the larger local exponent below 2, where
+    the remainder of order 30 is below rounding.  g grows in the walk's
+    direction (inward like exp(-eta**2), outward like eta**alpha) or stays
+    level, so the rounding of one step does not grow in the next.
+    """
+    inward = stop < nu
+    nodes, rows = [nu], []
+    eta, value, slope = nu, 0.0, -1.0
+    while eta > stop if inward else eta < stop:
+        h = 2.0 / (eta + math.sqrt(eta * eta + 2.0 * alpha) + 4.0)
+        following = max(eta - h, 0.0) if inward else eta + h
+        # The step to the node as rounded: missing it by its rounding at
+        # each step cost up to 5e-13 of the field at nu = 21.
+        h = following - eta
+        a1, a0 = -2.0 * eta * h, 2.0 * h * h
+        row = [value, slope * h]
+        for k in range(_PROFILE_ORDER - 1):
+            row.append((a1 * (k + 1) * row[k + 1] + a0 * (alpha - k) * row[k])
+                       / ((k + 1) * (k + 2)))
+        rows.append(row)
+        nodes.append(following)
+        value = sum(reversed(row))
+        slope = sum(k * row[k] for k in range(_PROFILE_ORDER, 0, -1)) / h
+        eta = following
+    return nodes, rows, value
+
+
+def _pieces(nodes, rows, exponent: int, scale: float):
+    """(lower, center, step, coefficients) of the pieces of 2**exponent
+    scale g from one walk, ascending in eta; column j of the coefficients
+    holds piece j in s = (eta - center[j]) / step[j]."""
+    nodes = np.array(nodes)
+    lower = np.minimum(nodes[:-1], nodes[1:])
+    j = np.argsort(lower)
+    coeffs = np.ldexp(np.array(rows).T, exponent) * scale
+    return lower[j], nodes[:-1][j], np.diff(nodes)[j], coeffs[:, j]
+
+
 @dataclass(frozen=True)
 class SimilaritySolution:
     """Solved closed form: front coefficient plus field evaluators.
 
     ``front_position``, ``temperature`` and ``temperature_flux`` take floats
     or numpy arrays and evaluate both the same way: x and t broadcast
-    against each other, every element is checked, and each basis function
-    costs one ``kummer_m_array`` call over the whole grid (which sums small
-    grids with ``kummer_m``).  The result is a Python float when no
-    argument is an ndarray, else an array of the broadcast shape.
+    against each other and every element is checked.  The result is a
+    Python float when no argument is an ndarray, else an array of the
+    broadcast shape.
 
-    ``temperature`` evaluates the similarity formula as written, also for
-    x > s(t); callers that want the physical field mask those points to 0.
-    It raises ValueError where eta**2 = x**2 / (4 d t) exceeds 200 (eta
-    about 14.1), the end of the series' range.
+    The field is u = t**(alpha/2) f(eta) and u_x = t**((alpha-1)/2)
+    f'(eta) / (2 sqrt(d)).  The pieces of f over [0, nu] are walked on the
+    first field call, each point then costs one Horner sum, and f(0), f'(0)
+    reproduce ``coeff_even``, ``coeff_odd``.  ``temperature`` also
+    evaluates the continuation past the front (callers that want the
+    physical field mask x > s(t) to 0) up to eta = 30, and raises beyond.
     """
 
     problem: ProblemSpec
@@ -325,36 +376,69 @@ class SimilaritySolution:
         _require_positive("t", t)
         return self.nu * math.sqrt(self.problem.d / t)
 
-    def _eta(self, x, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """eta = x / (2 sqrt(d t)), -eta**2 and t as float arrays, every
-        element checked."""
+    def _eta(self, x, t) -> tuple[np.ndarray, np.ndarray]:
+        """eta = x / (2 sqrt(d t)) and t as float arrays, every element
+        checked."""
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
-        _require_all("x", x, ~(x < 0.0), ">= 0")
+        _require_all("x", x, np.isfinite(x) & (x >= 0.0), "a finite real >= 0")
         eta = x / (2.0 * np.sqrt(self.problem.d * t))
-        return eta, -eta * eta, t
+        _require_all("eta = x / (2 sqrt(d t))", eta, eta <= _MAX_ETA,
+                     f"at most {_MAX_ETA}, the end of the field past the front")
+        return eta, t
+
+    @cached_property
+    def _melt(self):
+        """The pieces of f = |f'(nu)| g over [0, nu], with the exponent e
+        and the scale 2**-e |f'(nu)| that make them from those of g.  With
+        2**e g(0) in [1, 2) no stored value exceeds f(0) = A.  The Stefan
+        condition -k u_x = gamma s**alpha ds/dt gives
+        f'(nu) = -(gamma / k) sqrt(d) (2 nu sqrt(d))**(alpha+1), formed in
+        34-digit decimal arithmetic, whose exponent range holds every factor."""
+        p, dec = self.problem, decimal.Decimal
+        nodes, rows, face = _profile_walk(p.alpha, self.nu, 0.0)
+        exponent = 1 - math.frexp(face)[1]
+        with decimal.localcontext(decimal.Context(prec=34)):
+            root_d = dec(p.d).sqrt()
+            scale = float(dec(p.gamma) / dec(p.k) * root_d * dec(2) ** -exponent
+                          * (2 * dec(self.nu) * root_d) ** (dec(p.alpha) + 1))
+        return _pieces(nodes, rows, exponent, scale), exponent, scale
+
+    def _profile(self, eta: np.ndarray, derivative: bool) -> np.ndarray:
+        """f(eta), or f'(eta), walking past the front as far as eta needs."""
+        pieces, exponent, scale = self._melt
+        top = float(eta.max(initial=0.0))
+        if top > self.nu:
+            nodes, rows, _ = _profile_walk(self.problem.alpha, self.nu, top)
+            outer = _pieces(nodes, rows, exponent, scale)
+            if not np.isfinite(outer[3]).all():
+                raise OverflowError(f"the field past the front overflows double "
+                                    f"precision below eta = {top} ({self.problem!r})")
+            pieces = [np.concatenate(pair, axis=-1) for pair in zip(pieces, outer)]
+        lower, center, step, coeffs = pieces
+        if derivative:
+            coeffs = coeffs[1:] * np.arange(1.0, _PROFILE_ORDER + 1.0)[:, None] / step
+        j = np.searchsorted(lower, eta, side="right") - 1
+        s = (eta - center[j]) / step[j]
+        coeffs = coeffs[:, j]
+        total = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            total = total * s + c
+        return total
 
     def temperature(self, x, t):
-        """Similarity temperature at (x, t), t > 0."""
-        alpha = self.problem.alpha
-        eta, z, ts = self._eta(x, t)
-        # t**p by float pow per element of t, not of the grid (``float_map``)
-        return _result(float_map(lambda v: v ** (alpha / 2.0), ts) * (
-            self.coeff_even * kummer_m_array(-alpha / 2.0, 0.5, z)
-            + self.coeff_odd * eta * kummer_m_array(-alpha / 2.0 + 0.5, 1.5, z)
-        ), x, t)
+        """Similarity temperature u = t**(alpha/2) f(eta) at (x, t), t > 0."""
+        eta, ts = self._eta(x, t)
+        return _result(np.power(ts, self.problem.alpha / 2.0) * self._profile(eta, False), x, t)
 
     def temperature_flux(self, x, t):
-        """Spatial derivative of the similarity temperature at (x, t).
+        """Spatial derivative u_x = t**((alpha-1)/2) f'(eta) / (2 sqrt(d))
+        of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
-        alpha = self.problem.alpha
-        eta, z, ts = self._eta(x, t)
-        scale = float_map(lambda v: v ** ((alpha - 1.0) / 2.0), ts) / math.sqrt(self.problem.d)
-        return _result(scale * (
-            self.coeff_even * alpha * eta * kummer_m_array(-alpha / 2.0 + 1.0, 1.5, z)
-            + 0.5 * self.coeff_odd * kummer_m_array(-alpha / 2.0 + 0.5, 0.5, z)
-        ), x, t)
+        eta, ts = self._eta(x, t)
+        scale = np.power(ts, (self.problem.alpha - 1.0) / 2.0) / (2.0 * math.sqrt(self.problem.d))
+        return _result(scale * self._profile(eta, True), x, t)
 
 
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:
@@ -481,9 +565,9 @@ def temperature_integer_alpha(sol: SimilaritySolution, x: float, t: float) -> fl
     whose coefficients meet the face relation and u(s(t), t) = 0.  An
     independent cross-check of ``SimilaritySolution.temperature``.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
     problem = sol.problem
     even_nu, odd_nu, denominator = _integer_basis(problem, sol.nu)
-    even, odd, _ = _integer_basis(problem, x / (2.0 * math.sqrt(problem.d * t)))
+    # The argument checks of SimilaritySolution.temperature.
+    eta, _ = sol._eta(x, t)
+    even, odd, _ = _integer_basis(problem, float(eta))
     return t ** (problem.alpha / 2.0) * (odd_nu * even - even_nu * odd) / denominator

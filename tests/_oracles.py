@@ -3,14 +3,16 @@
 These deliberately avoid the library's own code paths: the series is
 summed directly (no reflection), the front equation is written out from
 the boundary's face relation, roots are found by plain bisection, and the
-alpha = 0 closed forms are written out with math.erf.
+alpha = 0 closed forms are written out with math.erf.  The mpmath
+references write the front equation and the closed form out with each
+family's own data.
 """
 
 from __future__ import annotations
 
 import math
 
-from stefan_kummer import ProblemSpec
+from stefan_kummer import Convective, ProblemSpec, Temperature
 
 
 def direct_series_m(a: float, b: float, z: float, terms: int = 400) -> float:
@@ -93,3 +95,71 @@ def classical_stefan_residual(x: float, t0: float, gamma: float = 1.0,
     """erf-form residual for the alpha = 0 temperature-family problem:
     sqrt(pi) x exp(x^2) erf(x) = k t0 / (gamma d)."""
     return k * t0 / (gamma * d) - math.sqrt(math.pi) * x * math.exp(x * x) * math.erf(x)
+
+
+# ---- extended-precision references (mpmath is passed in by the caller) ----
+
+
+def _mp_data(mp, problem: ProblemSpec):
+    """alpha, gamma, d, k, kappa = k / (2 sqrt d) and (p, q, g) of the face
+    relation p A + q kappa B = g as mpf, from each family's own data."""
+    b = problem.boundary
+    alpha, gamma, d, k = (mp.mpf(v) for v in (problem.alpha, problem.gamma, problem.d, problem.k))
+    if isinstance(b, Convective):
+        face = mp.mpf(b.h0), -1, mp.mpf(b.h0) * mp.mpf(b.t_inf)
+    elif isinstance(b, Temperature):
+        face = 1, 0, mp.mpf(b.t0)
+    else:
+        face = 0, -1, mp.mpf(b.c)
+    return alpha, gamma, d, k, k / (2 * mp.sqrt(d)), face
+
+
+def mp_front_root(mp, problem: ProblemSpec, x0):
+    """Root of the front equation x**(alpha+1) D(x) = C g near x0, in
+    extended precision, written with each family's own data."""
+    alpha, gamma, d, k, kappa, (p, q, g) = _mp_data(mp, problem)
+    log_cg = mp.log(kappa * g / (gamma * 2**alpha * d ** ((alpha + 1) / 2)))
+
+    def log_residual(x):
+        z = x * x
+        denom = p * x * mp.hyp1f1(alpha / 2 + 1, 1.5, z) - q * kappa * mp.hyp1f1(alpha / 2 + 0.5, 0.5, z)
+        return log_cg - mp.log(denom) - (alpha + 1) * mp.log(x)
+
+    # Secant from two points around x0: a default second point x0 + 1/4
+    # lies far from small roots.
+    x0 = mp.mpf(x0)
+    return mp.findroot(log_residual, (x0 * (1 - mp.mpf(1e-10)), x0 * (1 + mp.mpf(1e-10))))
+
+
+def mp_field(mp, problem: ProblemSpec, nu, x, t, digits: int = 40):
+    """u and u_x at (x, t) from the closed form
+    u = t**(alpha/2) [A M(-alpha/2, 1/2, -eta**2) + B eta M(1/2 - alpha/2, 3/2, -eta**2)],
+    with A and B fixed at the front coefficient nu by the face relation and
+    u(s(t), t) = 0.  Near the front the two terms are many orders of
+    magnitude above u and cancel, so the working precision is doubled until
+    ``digits`` digits survive the cancellation in both sums."""
+    alpha, _, d, _, kappa, (p, q, g) = _mp_data(mp, problem)
+    nu, x, t = mp.mpf(nu), mp.mpf(x), mp.mpf(t)
+
+    def basis(eta):
+        """The two basis functions and their eta-derivatives."""
+        z = -eta * eta
+        return (mp.hyp1f1(-alpha / 2, 0.5, z), eta * mp.hyp1f1(0.5 - alpha / 2, 1.5, z),
+                2 * alpha * eta * mp.hyp1f1(1 - alpha / 2, 1.5, z),
+                mp.hyp1f1(0.5 - alpha / 2, 0.5, z))
+
+    dps = mp.mp.dps
+    while dps < 20000:
+        with mp.workdps(dps):
+            even_nu, odd_nu, _, _ = basis(nu)
+            denominator = p * odd_nu - q * kappa * even_nu
+            a, b = g * odd_nu / denominator, -g * even_nu / denominator
+            even, odd, even_slope, odd_slope = basis(x / (2 * mp.sqrt(d * t)))
+            sums = [(a * even, b * odd), (a * even_slope, b * odd_slope)]
+            if all(abs(u + v) >= (abs(u) + abs(v)) * mp.mpf(10) ** (digits - dps)
+                   for u, v in sums):
+                f, f_slope = (u + v for u, v in sums)
+                return (t ** (alpha / 2) * f,
+                        t ** ((alpha - 1) / 2) * f_slope / (2 * mp.sqrt(d)))
+        dps *= 2
+    raise ArithmeticError(f"the closed form cancels to below {digits} digits at x={x}, t={t}")

@@ -7,7 +7,7 @@ import pytest
 from stefan_kummer import ProblemSpec, Convective, Flux, Temperature, solve_front
 from stefan_kummer.cli import main
 
-from _oracles import bisect, bisect_front, classical_stefan_residual
+from _oracles import bisect, bisect_front, classical_stefan_residual, mp_field, mp_front_root
 
 FIG9_ARGS = ["--alpha", "0.4", "--h0", "0.5", "--tinf", "1"]
 
@@ -285,6 +285,29 @@ def test_field_huge_convective_data_is_finite(tmp_path):
     _, rows = read_csv(out)
     assert float(rows[0][3]) == pytest.approx(2.0 * 21.2124247315329, rel=1e-12)
     assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["--alpha", "40", "--c", "1", "--d", "1e-9", "--nx", "5", "--nt", "3", "--tmax", "1"],
+     ProblemSpec(alpha=40.0, boundary=Flux(c=1.0), d=1e-9)),
+    (["--alpha", "1", "--h0", "1e200", "--tinf", "1e200", "--nx", "3", "--nt", "1"],
+     ProblemSpec(alpha=1.0, boundary=Convective(h0=1e200, t_inf=1e200))),
+], ids=["alpha40", "h0-1e200"])
+def test_field_melt_matches_mpmath_at_large_alpha_nu(tmp_path, args, problem):
+    # The even/odd sum cancelled here: the first wrote psi = -369098752 in
+    # the melt, the second 4.6e186 where the field is 1.36e127.
+    mp = pytest.importorskip("mpmath")
+    out = tmp_path / "field.csv"
+    assert run(["field", *args, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    melted = [[float(v) for v in row[:3]] for row in rows if row[4] == "1"]
+    assert melted and all(psi > 0.0 for _, _, psi in melted)
+    nu = solve_front(problem).nu
+    with mp.workdps(60 + int(nu**2 / 2.3)):
+        nu = mp_front_root(mp, problem, nu)
+        for x, t, psi in melted:
+            ref = float(mp_field(mp, problem, nu, x, t)[0])
+            assert abs(psi - ref) <= 1e-12 * ref, (x, t, psi, ref)
 
 
 def test_field_bad_grid_exits_2():

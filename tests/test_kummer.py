@@ -14,7 +14,6 @@ from stefan_kummer import (
     gamma_fn,
     iterated_erfc,
     kummer_m,
-    kummer_m_array,
     kummer_m_derivative,
 )
 from stefan_kummer import kummer as kummer_module
@@ -123,6 +122,14 @@ def test_nonfinite_arguments_rejected():
         kummer_m(math.nan, 0.5, 1.0)
     with pytest.raises(ValueError):
         kummer_m(1.0, 0.5, math.inf)
+
+
+@pytest.mark.parametrize("a,b,z", [(0.0, 0.5, math.nan), (0.0, 0.5, math.inf),
+                                   (0.0, math.nan, 1.0), (math.nan, 0.5, 1.0)])
+def test_derivative_rejects_nonfinite_arguments(a, b, z):
+    # a = 0 took the M = 1 shortcut before the arguments were checked.
+    with pytest.raises(ValueError, match="finite"):
+        kummer_m_derivative(a, b, z)
 
 
 def test_argument_below_supported_range_rejected():
@@ -291,91 +298,14 @@ def test_bridge_identities_to_repeated_erfc():
             assert abs(lhs - rhs) <= 1e-10 * scale, ("odd", n, z)
 
 
-# ---- array form ----
-
-# The parameters of the closed form's basis functions and of their
-# derivatives, for alpha in {0, 0.4, 2, 3.7}.
-ARRAY_PARAMS = [
-    (a, b)
-    for alpha in (0.0, 0.4, 2.0, 3.7)
-    for a, b in ((-alpha / 2.0, 0.5), (0.5 - alpha / 2.0, 1.5),
-                 (1.0 - alpha / 2.0, 1.5), (0.5 - alpha / 2.0, 0.5))
-]
-
-
-def _mixed_arguments():
-    # Magnitudes from 0 to 200 of both signs in one array, shuffled, so
-    # elements stop after very different numbers of terms; 750 overflows
-    # to inf for positive a.
-    rng = np.random.default_rng(5)
-    mags = np.concatenate([[0.0, 200.0], np.logspace(-12, math.log10(199.0), 120)])
-    z = np.concatenate([-mags, mags[mags <= 100.0], [750.0]])
-    rng.shuffle(z)
-    return z
-
-
-@pytest.mark.parametrize("a,b", ARRAY_PARAMS)
-def test_array_form_matches_scalar_elementwise(a, b):
-    z = _mixed_arguments()
-    values = kummer_m_array(a, b, z)
-    ref = np.array([kummer_m(a, b, float(v)) for v in z])
-    assert values.shape == z.shape
-    # The same sums, stop and reflection factor: bit-identical, for a
-    # large array and for one small enough to be summed element-wise.
-    assert np.array_equal(values, ref)
-    assert np.array_equal(kummer_m_array(a, b, z[:10]), ref[:10])
-
-
-def test_array_form_keeps_shape():
-    z = _mixed_arguments()[:120].reshape(4, 5, 6)
-    values = kummer_m_array(-0.2, 0.5, z)
-    assert values.shape == (4, 5, 6)
-    assert values[2, 3, 4] == kummer_m(-0.2, 0.5, float(z[2, 3, 4]))
-
-
-def test_array_form_against_arbitrary_precision():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    rng = np.random.default_rng(11)
-    z = -np.exp(rng.uniform(math.log(1e-9), math.log(200.0), 100))
-    for a, b in ARRAY_PARAMS:
-        values = kummer_m_array(a, b, z)
-        for v, zi in zip(values, z):
-            ref = float(mp.hyp1f1(a, b, float(zi)))
-            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (a, b, zi)
-
-
-def test_array_form_rejects_any_bad_element():
-    with pytest.raises(ValueError):
-        kummer_m_array(-0.2, 0.5, np.array([-1.0, -200.5, 3.0]))
-    with pytest.raises(ValueError):
-        kummer_m_array(-0.2, 0.5, np.array([-1.0, math.nan]))
-    with pytest.raises(ValueError):
-        kummer_m_array(-0.2, 0.5, np.array([math.inf]))
-    with pytest.raises(ValueError):
-        kummer_m_array(1.0, -1.0, np.array([0.5]))
-    # -200 itself is inside the range, as for the float form
-    assert kummer_m_array(-0.2, 0.5, np.array([-200.0]))[0] == kummer_m(-0.2, 0.5, -200.0)
-
-
-def test_array_form_empty_and_zero_dimensional():
-    assert kummer_m_array(-0.2, 0.5, np.array([])).shape == (0,)
-    assert kummer_m_array(-0.2, 0.5, np.empty((0, 3))).shape == (0, 3)
-    value = kummer_m_array(-0.2, 0.5, np.array(-1.5))
-    assert value.shape == ()
-    assert float(value) == kummer_m(-0.2, 0.5, -1.5)
-
-
-def test_array_form_term_cap_raises(monkeypatch):
+def test_term_cap_raises(monkeypatch):
     monkeypatch.setattr(kummer_module, "_SERIES_TERM_CAP", 5)
     with pytest.raises(NonConvergenceError):
         kummer_m(-0.2, 0.5, -30.0)
-    with pytest.raises(NonConvergenceError):
-        kummer_m_array(-0.2, 0.5, np.linspace(0.0, -30.0, 100))
 
 
 def test_scalar_form_takes_floats_only():
     # kummer_m stays a float function: the solver calls it once per series
-    # value and pays no array overhead; arrays go to kummer_m_array.
+    # value and pays no array overhead.
     with pytest.raises(TypeError):
         kummer_m(-0.2, 0.5, np.array([-1.0, -2.0]))

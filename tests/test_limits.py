@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from stefan_kummer import (
     solve_front,
 )
 
-from _oracles import bisect, classical_stefan_residual
+from _oracles import bisect, classical_stefan_residual, mp_field, mp_front_root
 
 DECADES = tuple(10.0**i for i in range(7))
 
@@ -146,7 +147,15 @@ def test_field_gap_matches_pointwise_reference():
 
 
 def test_field_gap_beyond_series_range_raises():
-    # eta = x / (2 sqrt(d t)) = 15 is past the series' eta of about 14.1
+    # The field is continued past the front up to eta = x / (2 sqrt(d t)) = 30.
+    # At eta = 15, past the eta of about 14.1 where the even/odd series
+    # ended, both fields match mpmath.
+    mp = pytest.importorskip("mpmath")
     base = ProblemSpec(alpha=0.4, boundary=Convective(h0=1.0, t_inf=1.0))
-    with pytest.raises(ValueError):
-        field_convergence_gap(base, 2.0, (0.1, 30.0), (1.0,))
+    with mp.workdps(60):
+        u = [mp_field(mp, p, mp_front_root(mp, p, solve_front(p).nu), 30.0, 1.0)[0]
+             for p in (replace(base, boundary=Convective(h0=2.0, t_inf=1.0)), limit_problem(base))]
+    gap = field_convergence_gap(base, 2.0, (30.0,), (1.0,))
+    assert abs(gap - float(abs(u[0] - u[1]))) <= 1e-14 * float(max(abs(u[0]), abs(u[1])))
+    with pytest.raises(ValueError, match="at most 30"):
+        field_convergence_gap(base, 2.0, (0.1, 61.0), (1.0,))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -27,6 +28,8 @@ from _oracles import (
     classical_convective_residual,
     classical_convective_temperature,
     direct_series_m,
+    mp_field,
+    mp_front_root,
 )
 
 # Parameter set behind the reference temperature-field plots.
@@ -338,31 +341,6 @@ def wide_specs(draw):
     return _wide_spec(family, draw(st.floats(min_value=0.0, max_value=50.0)), u)
 
 
-def _mp_front_root(mp, problem, x0):
-    """Root of the front equation x**(alpha+1) D(x) = C g near x0, in
-    extended precision, written with each family's own data."""
-    b = problem.boundary
-    alpha, gamma, d, k = (mp.mpf(v) for v in (problem.alpha, problem.gamma, problem.d, problem.k))
-    if isinstance(b, Convective):
-        p, q, g = mp.mpf(b.h0), -1, mp.mpf(b.h0) * mp.mpf(b.t_inf)
-    elif isinstance(b, Temperature):
-        p, q, g = 1, 0, mp.mpf(b.t0)
-    else:
-        p, q, g = 0, -1, mp.mpf(b.c)
-    kappa = k / (2 * mp.sqrt(d))
-    log_cg = mp.log(kappa * g / (gamma * 2**alpha * d ** ((alpha + 1) / 2)))
-
-    def log_residual(x):
-        z = x * x
-        denom = p * x * mp.hyp1f1(alpha / 2 + 1, 1.5, z) - q * kappa * mp.hyp1f1(alpha / 2 + 0.5, 0.5, z)
-        return log_cg - mp.log(denom) - (alpha + 1) * mp.log(x)
-
-    # Secant from two points around x0: a default second point x0 + 1/4
-    # lies far from small roots.
-    x0 = mp.mpf(x0)
-    return mp.findroot(log_residual, (x0 * (1 - mp.mpf(1e-10)), x0 * (1 + mp.mpf(1e-10))))
-
-
 def _mp_stefan_scale(mp, sol):
     """1 plus the size of the two conduction terms at the front relative
     to the latent-heat side: the factor by which the even/odd form
@@ -384,7 +362,7 @@ def test_wide_domain_root_and_conditions_property(p):
     sol = solve_front(p)
     assert sol.solver_report.iterations <= 8
     with mp.workdps(50):
-        root = _mp_front_root(mp, p, sol.nu)
+        root = mp_front_root(mp, p, sol.nu)
         assert abs(sol.nu - root) <= 1e-13 * root
         face, front, stefan = _mp_condition_residuals(mp, sol)
         assert face <= 1e-13 and front <= 1e-13
@@ -417,7 +395,7 @@ def test_large_alpha_large_nu_solves():
     assert sol.solver_report.iterations <= 8
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        assert abs(sol.nu - _mp_front_root(mp, p, sol.nu)) <= 1e-13 * sol.nu
+        assert abs(sol.nu - mp_front_root(mp, p, sol.nu)) <= 1e-13 * sol.nu
 
 
 def test_huge_convective_data_solve_to_temperature_limit():
@@ -493,6 +471,69 @@ def test_face_temperature_is_even_coefficient():
         assert sol.temperature(0.0, t) == pytest.approx(
             sol.coeff_even * t ** (FIG9.alpha / 2.0), rel=1e-14
         )
+
+
+def _wide_sample(n, seed=7):
+    r = random.Random(seed)
+
+    def u(lo, hi):
+        return math.exp(r.uniform(math.log(lo), math.log(hi)))
+
+    return [(_wide_spec(r.choice(sorted(_WIDE_BOUNDARIES)), r.uniform(0.0, 50.0), u), u(0.1, 10.0))
+            for _ in range(n)]
+
+
+def test_field_against_mpmath_on_wide_sample():
+    # The even/odd sum cancelled at large alpha * nu: 41 of these 150 specs
+    # were off by more than 1e-12 of scale, by up to 9e-3, and 18 had u <= 0
+    # in the melt.
+    mp = pytest.importorskip("mpmath")
+    for p, t in _wide_sample(150):
+        sol = solve_front(p)
+        with mp.workdps(60 + int(sol.nu**2 / 2.3)):
+            nu = float(mp_front_root(mp, p, sol.nu))
+            at = dataclasses.replace(sol, nu=nu)
+            xs = at.front_position(t) * np.arange(20) / 20
+            u, u_x = at.temperature(xs, t), at.temperature_flux(xs, t)
+            ref = [mp_field(mp, p, nu, x, t) for x in xs.tolist()]
+        u_ref = np.array([float(v) for v, _ in ref])
+        u_x_ref = np.array([float(v) for _, v in ref])
+        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max(), (p, nu)
+        assert np.abs(u_x - u_x_ref).max() <= 1e-12 * np.abs(u_x_ref).max(), (p, nu)
+        assert (u > 0.0).all(), (p, nu)
+        # zero up to the rounding of eta = s(t) / (2 sqrt(d t)) about nu
+        assert abs(at.temperature(at.front_position(t), t)) <= 1e-15 * u[0], (p, nu)
+
+
+def test_profile_face_values_are_the_series_coefficients():
+    # f(0) and f'(0) of the profile walked from the front's Stefan slope
+    # meet the face relation only where nu is the root: this checks nu
+    # apart from the front equation's series.
+    for p, _ in _wide_sample(400, seed=11):
+        sol = solve_front(p)
+        assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12), p
+        slope = 2.0 * math.sqrt(p.d) * sol.temperature_flux(0.0, 1.0)
+        assert slope == pytest.approx(sol.coeff_odd, rel=1e-12), p
+
+
+@pytest.mark.parametrize("problem", [
+    # (2 nu sqrt(d))**(alpha+1) is about 1e514, the Stefan slope 3.5e14.
+    ProblemSpec(alpha=5.0, boundary=Temperature(t0=1.0), gamma=1e-300, d=1e200, k=1e300),
+    # nu near the series' overflow: the walk to the face grows by about
+    # exp(nu**2) = 1e290.
+    ProblemSpec(alpha=1.0, boundary=Convective(h0=1e200, t_inf=1e200)),
+])
+def test_stefan_slope_formed_without_overflow(problem):
+    sol = solve_front(problem)
+    assert math.isfinite(sol.coeff_odd)
+    assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12)
+    slope = 2.0 * math.sqrt(problem.d) * sol.temperature_flux(0.0, 1.0)
+    assert slope == pytest.approx(sol.coeff_odd, rel=1e-12)
+    front_slope = 2.0 * math.sqrt(problem.d) * sol.temperature_flux(sol.front_position(1.0), 1.0)
+    # f is convex and decreasing in the melt, so |f'(nu)| <= |f'(0)| = |B|.
+    assert 0.0 < -front_slope <= -sol.coeff_odd
+    x = sol.front_position(1.0) * np.linspace(0.0, 1.0, 50, endpoint=False)
+    assert (sol.temperature(x, 1.0) > 0.0).all()
 
 
 def test_imposed_temperature_datum_recovered():
@@ -580,6 +621,35 @@ def test_front_position_examples():
 def test_front_scaling_property(t):
     sol = solve_front(FIG9)
     assert sol.front_position(4.0 * t) == pytest.approx(2.0 * sol.front_position(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.1, math.nan, 0.2]),
+                               np.array([0.1, math.inf])], ids=["nan", "inf", "nan-element", "inf-element"])
+@pytest.mark.parametrize("method", ["temperature", "temperature_flux"])
+def test_nonfinite_x_rejected_naming_x(method, x):
+    # Such x passed the x >= 0 check and met an error about the series.
+    sol = solve_front(FIG9)
+    with pytest.raises(ValueError, match="^x must be"):
+        getattr(sol, method)(x, 1.0)
+
+
+@pytest.mark.parametrize("x,t", [(-0.1, 1.0), (0.1, math.inf), (math.nan, 1.0),
+                                 (0.1, 0.0), (61.0, 1.0)])
+def test_integer_alpha_temperature_rejects_what_temperature_rejects(x, t):
+    # It returned 1.139 for x = -0.1 and inf for t = inf.
+    sol = solve_front(ProblemSpec(alpha=1.0, boundary=Temperature(t0=1.0)))
+    with pytest.raises(ValueError):
+        sol.temperature(x, t)
+    with pytest.raises(ValueError):
+        temperature_integer_alpha(sol, x, t)
+
+
+def test_continuation_beyond_double_range_raises():
+    # f grows like (eta / nu)**alpha past the front: 1e1780 at eta = 29.5.
+    sol = solve_front(ProblemSpec(alpha=1000.0, boundary=Temperature(t0=1.0)))
+    assert sol.temperature(0.5 * sol.front_position(1.0), 1.0) > 0.0
+    with pytest.raises(OverflowError, match="past the front"):
+        sol.temperature(59.0, 1.0)
 
 
 def test_evaluator_domain_errors():
@@ -737,6 +807,6 @@ def test_array_evaluator_domain_errors():
         sol.front_position(np.array([1.0, math.inf]))
     with pytest.raises(ValueError):
         sol.front_position(np.array([-1.0]))
-    # past eta = sqrt(200) the series raises, as for a float argument
-    with pytest.raises(ValueError):
-        sol.temperature(np.array([0.0, 30.0]), 1.0)
+    # the continuation past the front ends at eta = x / (2 sqrt(d t)) = 30
+    with pytest.raises(ValueError, match="at most 30"):
+        sol.temperature(np.array([0.0, 61.0]), 1.0)

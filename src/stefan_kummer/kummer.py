@@ -1,8 +1,9 @@
 """Double-precision special functions used by the melting-front solver.
 
 Provides the confluent hypergeometric function M(a, b, z) of the first
-kind, its z-derivative, checked wrappers of ``math.gamma`` and
-``math.erfc``, and the repeated integrals i^n erfc used by the
+kind, its z-derivative, its logarithm (with z M'/M) for a, b > 0 and
+z >= 0, which unlike M never overflows, checked wrappers of ``math.gamma``
+and ``math.erfc``, and the repeated integrals i^n erfc used by the
 integer-exponent closed forms.
 
 All functions here take floats and are pure functions of their
@@ -18,6 +19,7 @@ __all__ = [
     "NonConvergenceError",
     "kummer_m",
     "kummer_m_derivative",
+    "log_kummer_m",
     "gamma_fn",
     "erfc",
     "iterated_erfc",
@@ -55,41 +57,91 @@ def kummer_m(a: float, b: float, z: float) -> float:
     ever summed at z >= 0, where its terms are eventually single-signed
     and the sum is free of catastrophic cancellation.
 
-    Relative accuracy is ~1e-13 or better on the ranges this package
-    exercises: negative a occurs only together with z <= 0 (handled by the
-    reflection), and nonnegative a is accurate up to |z| = 100.  For
-    negative a together with positive z the truncating polynomial part
-    alternates and accuracy degrades gradually (a few 1e-12 at a = -10,
-    z = 9).  Arguments below -200 raise ValueError; very large positive
-    arguments overflow to inf.
-
-    Takes floats only: an array z of more than one element raises
-    TypeError.
+    Relative accuracy is ~1e-13 or better for a >= 0 up to |z| = 100 and
+    for negative a at z <= 0; for negative a at positive z the series
+    alternates and accuracy degrades (a few 1e-12 at a = -10, z = 9).
+    Arguments below -200 raise ValueError, and past double range (near
+    z = 700 for moderate a) the value is inf.  Takes floats only: an array
+    z of more than one element raises TypeError.
     """
     _check_args(a, b, z)
     if z < _MIN_ARGUMENT:
         raise ValueError(f"argument z={z} below supported range ({_MIN_ARGUMENT})")
     if z < 0.0:
-        return math.exp(z) * _m_series(b - a, b, -z)
-    return _m_series(a, b, z)
+        m, _, e = _m_series(b - a, b, -z)
+        m *= math.exp(z)
+    else:
+        m, _, e = _m_series(a, b, z)
+    return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
 
 
-def _m_series(a: float, b: float, z: float) -> float:
-    # Term recurrence term_{s+1} = term_s * (a+s) / ((b+s)(s+1)) * z.  The
-    # relative stop requires three consecutive small terms so an incidental
-    # zero term (integer a passing through -s) cannot end the sum early.
+def log_kummer_m(a: float, b: float, z: float) -> tuple[float, float]:
+    """(log M(a, b, z), z M'(a, b, z) / M(a, b, z)) for a, b > 0 and finite
+    z >= 0, where every term of the series is positive.
+
+    Above z = 30 the large-argument expansion (DLMF 13.7.2)
+
+        log M = lgamma(b) - lgamma(a) + z + (a-b) log z + log S,
+        S = sum_s (1-a)_s (b-a)_s / (s! z**s),
+
+    is summed while its terms fall, and taken where the last of them and a
+    bound on the exponentially small part it omits are below 1e-16 of S.
+    Elsewhere the series is summed with a running rescale (``_m_series``).
+    Either gives log M to about 1e-16 of max(1, |log M|) and z M'/M to
+    about 1e-14 relative.
+    """
+    if not (a > 0.0 and b > 0.0 and 0.0 <= z < math.inf):
+        raise ValueError(f"log_kummer_m needs a, b > 0 and finite z >= 0, got {(a, b, z)}")
+    if z > 30.0:
+        term, total, slope = 1.0, 1.0, 0.0
+        for s in range(1, _SERIES_TERM_CAP):
+            ratio = (s - a) * (s - 1.0 + b - a) / (s * z)
+            if not abs(ratio) < 1.0:
+                break
+            term *= ratio
+            total += term
+            slope += s * term
+            if abs(term) <= _SERIES_RTOL * total:
+                break
+        log_z = math.log(z)
+        # The omitted part is at most Gamma(a) Gamma(1+a-b) e**-z z**(b-2a) of
+        # the kept one (Gamma(1+a-b) bounds 1/|Gamma(b-a)| for a > b, 1 for
+        # a <= b): large near a = 0, and 1e-14 at a = 1, z = 30, where S = 1.
+        omitted = (math.lgamma(a) + (math.lgamma(1.0 + a - b) if a > b else 0.0)
+                   - z + (b - 2.0 * a) * log_z)
+        if abs(term) <= _SERIES_RTOL * total and omitted < math.log(_SERIES_RTOL):
+            return (math.lgamma(b) - math.lgamma(a) + z + (a - b) * log_z
+                    + math.log(total), z + a - b - slope / total)
+    m, zm, e = _m_series(a, b, z)
+    return math.log(m) + e * math.log(2.0), zm / m
+
+
+def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
+    """(m, zm, e) with M(a, b, z) = m 2**e and z M'(a, b, z) = zm 2**e,
+    summed from term_{s+1} = term_s * (a+s) / ((b+s)(s+1)) * z, and zm from
+    s term_s.  The relative stop requires three consecutive small terms so
+    an incidental zero term (integer a passing through -s) cannot end the
+    sum early.  A sum past 2**500 is divided by 2**500 together with the
+    term and zm, and e counts those shifts, so no partial sum overflows;
+    below that e = 0 and m is the plain sum.
+    """
     term = 1.0
     total = 1.0
+    slope = 0.0
+    exponent = 0
     quiet = 0
     for s in range(_SERIES_TERM_CAP):
-        term *= (a + s) / ((b + s) * (s + 1.0)) * z
+        n = s + 1.0
+        term *= (a + s) / ((b + s) * n) * z
         total += term
-        if math.isinf(total):
-            return total
+        slope += n * term
+        if not -2.0**500 < total < 2.0**500:
+            total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
+            exponent += 500
         if abs(term) <= _SERIES_RTOL * abs(total):
             quiet += 1
             if quiet >= _SERIES_QUIET_RUN:
-                return total
+                return total, slope, exponent
         else:
             quiet = 0
     raise NonConvergenceError(

@@ -33,18 +33,17 @@ takes logs: in y = log x it finds the root of
 
     G(y) = log(C g) - log D(e^y) - (alpha+1) y,
 
-a strictly decreasing function whose value is a relative residual of the
-front equation.  log(C g) is a sum of logs of the data and log D is
-summed from the logs of its (one or two) positive terms, so no product of
-data is formed and nothing under- or overflows before the series
-themselves do.  Bracketed Anderson-Bjorck false position, safeguarded by
-bisection, stops at |G| <= 1e-12; one final evaluation at the root gives G
-and, from the same series, the coefficients A and B of the closed form.
+a relative residual of the front equation.  log(C g) is a sum of logs of
+the data and log D is summed from ``log_kummer_m`` of its (one or two)
+positive terms, so G is finite for every y.  G is concave and decreasing,
+so Newton's method from right of the root converges monotonically, and
+stops once |G| is within its rounding (at least 1e-12).  One final
+evaluation at the root gives the coefficients A and B of the closed form.
 
 The field is not summed from that formula, whose two terms grow like
 eta^alpha and cancel in the melt: ``SimilaritySolution`` walks the profile
 f(eta) = u t^{-alpha/2} in Taylor pieces from the front, where f(nu) = 0 and
-the Stefan condition fixes f'(nu), to the face and past the front to eta = 30.
+the Stefan condition fixes f'(nu), to the face and past the front.
 
 For integer alpha the same face relation gives repeated-erfc forms of the
 front equation and the field for every family (``front_equation_integer_alpha``,
@@ -67,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, kummer_m
+from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m
 
 __all__ = [
     "BracketNotFoundError",
@@ -84,23 +83,21 @@ __all__ = [
     "temperature_integer_alpha",
 ]
 
-# Settings of solve_front.  |G| accepted at the root (G is a relative
-# residual of the front equation), the iteration cap, and the upper end of
-# the bracket search for nu.
+# Settings of solve_front: the least |G| accepted at the root (G is a
+# relative residual of the front equation) and the iteration cap.
 _RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 100
-_MAX_NU = 1e3
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 # Taylor order of the pieces of the field profile.
 _PROFILE_ORDER = 30
-# Largest eta = x / (2 sqrt(d t)) at which the field is continued past the
-# front: the walk there takes a number of steps growing like eta**2.
+# The field is continued past the front up to eta = max(nu, _MAX_ETA): the
+# walk there takes a number of steps growing like eta**2.
 _MAX_ETA = 30.0
 
 
 class BracketNotFoundError(RuntimeError):
-    """No sign change found for the front equation (invalid problem data)."""
+    """The root nu of the front equation underflows double precision."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -194,58 +191,58 @@ class SolverReport:
 
 
 def _front_g(problem: ProblemSpec):
-    """The closures ``front_g`` and ``closed_form`` of y = log x, the one
-    place where D is formed.  ``front_g(y)`` is G(y) = log(C g) - log D(e^y)
-    - (alpha+1) y and sums only the series D needs; ``closed_form(y)`` sums
-    both and returns (G(y), A, B), which meet p A + q kappa B = g and
-    A g_e + B g_o = 0 at x = e^y.  The logs of the data are taken once.
+    """The closure ``front(y, coefficients=False)`` of y = log x, the one
+    place where D is formed.  It returns G(y) = log(C g) - log D(e^y)
+    - (alpha+1) y, G'(y) and the rounding of G (4 eps times the sum of its
+    terms' sizes, at least 1e-12), summing only the series D needs; with
+    ``coefficients`` it sums both and returns G and the A and B that meet
+    p A + q kappa B = g and A g_e + B g_o = 0 at x = e^y.
 
-    log D is summed from the logs of its positive terms, t_o of p g_o and
-    t_e of -q kappa g_e, with log(e^t_o + e^t_e) = t + log1p(e^(t' - t)),
-    t the larger; a series that overflows makes log D = inf.  The larger
-    term has the share s = 1 / (1 + e^-|t_e - t_o|) of D.  If it is p g_o,
-    A = g s / p and B = -A r, r = g_e / g_o; else B = -g s / (-q kappa),
-    formed from log kappa, and A = -B / r.  So neither kappa nor 1 / kappa
-    is formed, and B beyond double range is -inf.  Where D has both terms,
-    t_e - t_o is taken as log(-q kappa / p) + log r: t_e and t_o are near
-    x^2, and their difference would keep their rounding.
+    log D = t + log1p(w) from the logs t_o of p g_o and t_e of -q kappa g_e,
+    t the larger and w = e^(t' - t) <= 1, and G' = -(dt/dy + w dt'/dy)
+    / (1 + w) - (alpha+1) with dt_o/dy = 1 + 2 z M_o'/M_o and
+    dt_e/dy = 2 z M_e'/M_e (``log_kummer_m``).  The larger term has the
+    share s = 1 / (1 + w) of D.  If it is p g_o, A = g s / p and B = -A r,
+    r = g_e / g_o; else B = -g s / (-q kappa), formed from log kappa, and
+    A = -B / r.  So neither kappa nor 1 / kappa is formed, and B beyond
+    double range is -inf.
     """
     alpha, d = problem.alpha, problem.d
     a = alpha / 2.0
     p, q, g = problem.boundary.face_relation()
     log_kappa = math.log(problem.k) - _LOG2 - 0.5 * math.log(d)
     log_g = math.log(g)
-    log_cg = (
-        log_kappa + log_g - math.log(problem.gamma)
-        - alpha * _LOG2 - 0.5 * (alpha + 1.0) * math.log(d)
-    )
+    log_cg = (log_kappa + log_g - math.log(problem.gamma)
+              - alpha * _LOG2 - 0.5 * (alpha + 1.0) * math.log(d))
     log_p = math.log(p) if p else -math.inf
     log_qk = math.log(-q) + log_kappa if q else -math.inf
 
-    def evaluate(y: float, both: bool):
-        x = math.exp(y)
-        m_o = kummer_m(a + 1.0, 1.5, x * x) if p or both else 1.0
-        m_e = kummer_m(a + 0.5, 0.5, x * x) if q or both else 1.0
-        t_o = log_p + y + math.log(m_o) if p else -math.inf
-        t_e = log_qk + math.log(m_e) if q else -math.inf
-        hi, lo = max(t_o, t_e), min(t_o, t_e)
-        log_d = hi if hi == math.inf else hi + math.log1p(math.exp(lo - hi))
+    def front(y: float, coefficients: bool = False):
+        z = math.exp(2.0 * y)
+        lm_o, zm_o = log_kummer_m(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
+        lm_e, zm_e = log_kummer_m(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
+        t_o = log_p + y + lm_o
+        (hi, d_hi), (lo, d_lo) = sorted(
+            ((t_o, 1.0 + 2.0 * zm_o), (log_qk + lm_e, 2.0 * zm_e)), reverse=True)
+        w = math.exp(lo - hi)
+        log_d = hi + math.log1p(w)
         value = log_cg - log_d - (alpha + 1.0) * y
-        if not both:
-            return value
-        r = m_e / m_o / x
-        rho = log_qk - log_p + math.log(r) if p and q else t_e - t_o
-        log_share = -math.log1p(math.exp(-abs(rho)))
-        if rho <= 0.0:
-            coeff_even = g / p * math.exp(log_share)
+        slope = -(d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0)
+        rounding = max(_RESIDUAL_TOL, 4.0 * sys.float_info.epsilon
+                       * (abs(log_cg) + abs(log_d) + (alpha + 1.0) * abs(y)))
+        if not coefficients:
+            return value, slope, rounding
+        r = math.exp(lm_e - lm_o - y)
+        if hi == t_o:
+            coeff_even = g / p / (1.0 + w)
             coeff_odd = -coeff_even * r
         else:
-            log_b = log_g - log_qk + log_share
+            log_b = log_g - log_qk - math.log1p(w)
             coeff_odd = -math.exp(log_b) if log_b < _LOG_MAX else -math.inf
             coeff_even = -coeff_odd / r
         return value, coeff_even, coeff_odd
 
-    return (lambda y: evaluate(y, False)), (lambda y: evaluate(y, True))
+    return front
 
 
 def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
@@ -253,36 +250,12 @@ def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
     decreasing function of x > 0."""
     _require_positive("x", x)
     y = math.log(x)
-    return math.exp(_front_g(problem)[0](y) + (problem.alpha + 1.0) * y)
+    return math.exp(_front_g(problem)(y)[0] + (problem.alpha + 1.0) * y)
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:
     """lhs(x) - x**(alpha+1): positive left of the root, negative right."""
     return front_equation_lhs(problem, x) - x ** (problem.alpha + 1.0)
-
-
-def _find_bracket(front_g) -> tuple[float, float, float, float]:
-    """Sign-change bracket (lo, hi) of G in y = log x and G there, walked
-    in steps of log 2 from y = 0 towards the side that holds the root.
-
-    G -> +inf as y -> -inf (log D tends to a constant, or falls like y
-    for ``Temperature``), so a downward walk always ends; an upward
-    walk stops at x = ``_MAX_NU``.  Where D overflows, G = -inf: right of
-    the root.
-    """
-    y_max = math.log(_MAX_NU)
-    y, g = 0.0, front_g(0.0)
-    up = g > 0.0
-    while True:
-        y_next = y + _LOG2 if up else y - _LOG2
-        if y_next > y_max:
-            raise BracketNotFoundError(
-                f"no sign change of the front equation below x={_MAX_NU}"
-            )
-        g_next = front_g(y_next)
-        if (g_next > 0.0) != up:
-            return (y, y_next, g, g_next) if up else (y_next, y, g_next, g)
-        y, g = y_next, g_next
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -296,9 +269,9 @@ def _result(value, *args):
 
 
 def _profile_walk(alpha: float, nu: float, stop: float):
-    """Nodes, Taylor pieces and last value of the unit profile g, with
-    g'' + 2 eta g' - 2 alpha g = 0, g(nu) = 0 and g'(nu) = -1, walked from nu
-    to the face for stop = 0, else outward until a node passes stop.
+    """Nodes, Taylor pieces, their shifts and last value of the unit profile
+    g, with g'' + 2 eta g' - 2 alpha g = 0, g(nu) = 0 and g'(nu) = -1, walked
+    from nu to the face for stop = 0, else outward until a node passes stop.
 
     The piece from node eta to eta + h holds d_k = c_k h**k, g = sum d_k s**k
     in s = (e - eta) / h, where (k+1)(k+2) d_{k+2} = -2 eta h (k+1) d_{k+1}
@@ -306,12 +279,16 @@ def _profile_walk(alpha: float, nu: float, stop: float):
     keeps h at most 1/2 and h times the larger local exponent below 2, where
     the remainder of order 30 is below rounding.  g grows in the walk's
     direction (inward like exp(-eta**2), outward like eta**alpha) or stays
-    level, so the rounding of one step does not grow in the next.
+    level, so the rounding of one step does not grow in the next.  Past
+    |g| = 2**500 (inward g grows like exp(nu**2)) the walk goes on with
+    g / 2**500: piece j, and the last value with the last, hold g / 2**shifts[j].
     """
     inward = stop < nu
-    nodes, rows = [nu], []
-    eta, value, slope = nu, 0.0, -1.0
+    nodes, rows, shifts = [nu], [], []
+    eta, value, slope, shift = nu, 0.0, -1.0, 0
     while eta > stop if inward else eta < stop:
+        if abs(value) > 2.0**500:
+            value, slope, shift = value * 2.0**-500, slope * 2.0**-500, shift + 500
         h = 2.0 / (eta + math.sqrt(eta * eta + 2.0 * alpha) + 4.0)
         following = max(eta - h, 0.0) if inward else eta + h
         # The step to the node as rounded: missing it by its rounding at
@@ -323,21 +300,23 @@ def _profile_walk(alpha: float, nu: float, stop: float):
             row.append((a1 * (k + 1) * row[k + 1] + a0 * (alpha - k) * row[k])
                        / ((k + 1) * (k + 2)))
         rows.append(row)
+        shifts.append(shift)
         nodes.append(following)
         value = sum(reversed(row))
         slope = sum(k * row[k] for k in range(_PROFILE_ORDER, 0, -1)) / h
         eta = following
-    return nodes, rows, value
+    return nodes, rows, shifts, value
 
 
-def _pieces(nodes, rows, exponent: int, scale: float):
+def _pieces(nodes, rows, shifts, exponent: int, scale: float):
     """(lower, center, step, coefficients) of the pieces of 2**exponent
     scale g from one walk, ascending in eta; column j of the coefficients
-    holds piece j in s = (eta - center[j]) / step[j]."""
+    holds piece j in s = (eta - center[j]) / step[j], inf past double range."""
     nodes = np.array(nodes)
     lower = np.minimum(nodes[:-1], nodes[1:])
     j = np.argsort(lower)
-    coeffs = np.ldexp(np.array(rows).T, exponent) * scale
+    with np.errstate(over="ignore"):
+        coeffs = np.ldexp(np.array(rows).T, exponent + np.array(shifts)) * scale
     return lower[j], nodes[:-1][j], np.diff(nodes)[j], coeffs[:, j]
 
 
@@ -356,7 +335,9 @@ class SimilaritySolution:
     first field call, each point then costs one Horner sum, and f(0), f'(0)
     reproduce ``coeff_even``, ``coeff_odd``.  ``temperature`` also
     evaluates the continuation past the front (callers that want the
-    physical field mask x > s(t) to 0) up to eta = 30, and raises beyond.
+    physical field mask x > s(t) to 0) up to eta = max(nu, 30), and raises
+    beyond.  Near the front f may lie below double range (f(0) / f'(nu)
+    grows like exp(nu**2)), and u there is 0.
     """
 
     problem: ProblemSpec
@@ -366,51 +347,52 @@ class SimilaritySolution:
     solver_report: SolverReport
 
     def front_position(self, t):
-        """s(t) = 2 nu sqrt(d t) for finite t >= 0."""
+        """s(t) = 2 nu sqrt(d) sqrt(t) for finite t >= 0."""
         ts = np.asarray(t, dtype=float)
         _require_all("t", ts, np.isfinite(ts) & (ts >= 0.0), "a finite real >= 0")
-        return _result(2.0 * self.nu * np.sqrt(self.problem.d * ts), t)
+        return _result(2.0 * self.nu * math.sqrt(self.problem.d) * np.sqrt(ts), t)
 
     def front_speed(self, t: float) -> float:
-        """ds/dt = nu sqrt(d / t)."""
+        """ds/dt = nu sqrt(d) / sqrt(t)."""
         _require_positive("t", t)
-        return self.nu * math.sqrt(self.problem.d / t)
+        return self.nu * math.sqrt(self.problem.d) / math.sqrt(t)
 
     def _eta(self, x, t) -> tuple[np.ndarray, np.ndarray]:
-        """eta = x / (2 sqrt(d t)) and t as float arrays, every element
-        checked."""
+        """eta = x / (2 sqrt(d) sqrt(t)) and t as float arrays, every
+        element checked.  sqrt(d t) would underflow for d t below 1e-308."""
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
         _require_all("x", x, np.isfinite(x) & (x >= 0.0), "a finite real >= 0")
-        eta = x / (2.0 * np.sqrt(self.problem.d * t))
-        _require_all("eta = x / (2 sqrt(d t))", eta, eta <= _MAX_ETA,
-                     f"at most {_MAX_ETA}, the end of the field past the front")
+        eta = x / (2.0 * math.sqrt(self.problem.d) * np.sqrt(t))
+        top = max(self.nu, _MAX_ETA)
+        _require_all("eta = x / (2 sqrt(d t))", eta, eta <= top,
+                     f"at most {top}, the end of the field past the front")
         return eta, t
 
     @cached_property
     def _melt(self):
         """The pieces of f = |f'(nu)| g over [0, nu], with the exponent e
         and the scale 2**-e |f'(nu)| that make them from those of g.  With
-        2**e g(0) in [1, 2) no stored value exceeds f(0) = A.  The Stefan
+        2**e g(0) in [1, 2) no value exceeds f(0) = A.  The Stefan
         condition -k u_x = gamma s**alpha ds/dt gives
         f'(nu) = -(gamma / k) sqrt(d) (2 nu sqrt(d))**(alpha+1), formed in
         34-digit decimal arithmetic, whose exponent range holds every factor."""
         p, dec = self.problem, decimal.Decimal
-        nodes, rows, face = _profile_walk(p.alpha, self.nu, 0.0)
-        exponent = 1 - math.frexp(face)[1]
+        nodes, rows, shifts, face = _profile_walk(p.alpha, self.nu, 0.0)
+        exponent = 1 - math.frexp(face)[1] - shifts[-1]
         with decimal.localcontext(decimal.Context(prec=34)):
             root_d = dec(p.d).sqrt()
             scale = float(dec(p.gamma) / dec(p.k) * root_d * dec(2) ** -exponent
                           * (2 * dec(self.nu) * root_d) ** (dec(p.alpha) + 1))
-        return _pieces(nodes, rows, exponent, scale), exponent, scale
+        return _pieces(nodes, rows, shifts, exponent, scale), exponent, scale
 
     def _profile(self, eta: np.ndarray, derivative: bool) -> np.ndarray:
         """f(eta), or f'(eta), walking past the front as far as eta needs."""
         pieces, exponent, scale = self._melt
         top = float(eta.max(initial=0.0))
         if top > self.nu:
-            nodes, rows, _ = _profile_walk(self.problem.alpha, self.nu, top)
-            outer = _pieces(nodes, rows, exponent, scale)
+            outer = _pieces(*_profile_walk(self.problem.alpha, self.nu, top)[:3],
+                            exponent, scale)
             if not np.isfinite(outer[3]).all():
                 raise OverflowError(f"the field past the front overflows double "
                                     f"precision below eta = {top} ({self.problem!r})")
@@ -444,71 +426,37 @@ class SimilaritySolution:
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     """Solve the variant's front equation for nu and assemble the closed form.
 
-    Anderson-Bjorck false position (BIT 13, 1973) shrinks a sign-change
-    bracket of G(y) = log(C g / D(e^y)) - (alpha+1) y in y = log x
-    (``_find_bracket``) and needs no derivative.  It bisects where false
-    position leaves the bracket (as where G = -inf at its upper end) and
-    after two steps that did not halve |G|, which bounds the distance to
-    the root (G' <= -(alpha+1)).  G is a relative residual, so one stop
-    serves every scale of nu: |G| <= 1e-12, then one secant correction
-    through the previous iterate.  The iteration also stops when no float
-    lies inside the bracket.  One final evaluation at nu checks |G| <= 1e-12
-    and gives the series coefficients (``_front_g``).  ``SolverReport.residual``
-    is expm1(G) = lhs / nu**(alpha+1) - 1, finite where nu**(alpha+1) overflows.
+    D is a power series in x with non-negative coefficients, so log D(e^y)
+    is convex and G(y) = log(C g / D(e^y)) - (alpha+1) y concave and
+    decreasing in y = log x.  A tangent of G lies above it, so Newton's
+    method started right of the root stays right of it and converges
+    monotonically.  From x = 1, x is doubled while G > 0; Newton steps with
+    the slope that came with the series (``_front_g``) then run until |G| is
+    within its rounding (at least 1e-12: G is a relative residual, so one
+    stop serves every scale of nu), and take that last step too.
+    ``SolverReport.iterations`` counts the Newton steps, ``bracket`` is
+    (the largest x seen with G > 0, else 0; the x where Newton starts), and
+    ``residual`` is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
     """
-    front_g, closed_form = _front_g(problem)
-    lo, hi, g_lo, g_hi = _find_bracket(front_g)
-    bracket = (math.exp(lo), math.exp(hi))
-    # The previous iterate (first the bracket end nearer the root), the
-    # side of the root it lies on, and the count of steps that did not halve |G|.
-    y_prev, g_prev, side = (lo, g_lo, 1) if g_lo < -g_hi else (hi, g_hi, -1)
-    stalls = 0
+    front = _front_g(problem)
+    x, g = 0.5, math.inf
+    while g > 0.0:
+        x *= 2.0
+        y = math.log(x)
+        g, slope, rounding = front(y)
+    bracket = (x / 2.0 if x > 1.0 else 0.0, x)
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        width = hi - lo
-        y = lo + width * g_lo / (g_lo - g_hi)
-        bisect = stalls >= 2 or not lo < y < hi
-        if bisect:
-            y = lo + 0.5 * width
-            if not lo < y < hi:
-                break
-        g = front_g(y)
-        if abs(g) <= _RESIDUAL_TOL:
-            trial = y - g * (y - y_prev) / (g - g_prev) if g != g_prev else y
-            if lo < trial < hi:
-                y = trial
+        y -= g / slope
+        if abs(g) <= rounding:
             break
-        # The end kept a second time in a row is scaled by Anderson and
-        # Bjorck's m = 1 - G(y) / G(replaced end), or by 1/2 where m <= 0.
-        if g > 0.0:
-            if side > 0:
-                g_hi *= 1.0 - g / g_lo if g < g_lo else 0.5
-            lo, g_lo, side = y, g, 1
-        else:
-            if side < 0:
-                g_lo *= 1.0 - g / g_hi if g > g_hi else 0.5
-            hi, g_hi, side = y, g, -1
-        stalls = 0 if bisect or abs(g) <= 0.5 * abs(g_prev) else stalls + 1
-        y_prev, g_prev = y, g
+        g, slope, rounding = front(y)
     else:
-        raise NonConvergenceError(
-            f"front-coefficient iteration did not converge in "
-            f"{_MAX_ITERATIONS} iterations (last log residual {g})"
-        )
+        raise NonConvergenceError(f"front-coefficient iteration did not converge in "
+                                  f"{_MAX_ITERATIONS} iterations (last log residual {g})")
     nu = math.exp(y)
     if nu < sys.float_info.min:
-        raise BracketNotFoundError(
-            f"the front coefficient exp({y}) underflows double precision"
-        )
-    g, coeff_even, coeff_odd = closed_form(y)
-    if not abs(g) <= _RESIDUAL_TOL:
-        if g_hi == -math.inf:
-            raise BracketNotFoundError(
-                f"the front equation's series overflow double precision at "
-                f"x={math.exp(hi)}, below its root"
-            )
-        raise NonConvergenceError(
-            f"front-coefficient log residual {g} above tolerance at nu={nu}"
-        )
+        raise BracketNotFoundError(f"the front coefficient exp({y}) underflows double precision")
+    g, coeff_even, coeff_odd = front(y, coefficients=True)
     if math.isinf(coeff_odd) or math.isinf(coeff_even):
         raise OverflowError(
             f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow "

@@ -114,21 +114,28 @@ def _mp_data(mp, problem: ProblemSpec):
     return alpha, gamma, d, k, k / (2 * mp.sqrt(d)), face
 
 
-def mp_front_root(mp, problem: ProblemSpec, x0):
-    """Root of the front equation x**(alpha+1) D(x) = C g near x0, in
-    extended precision, written with each family's own data."""
+def mp_front_log_residual(mp, problem: ProblemSpec, y):
+    """log(C g) - log D(x) - (alpha+1) y at x = e**y, divided by
+    1 + |log(C g)|, in extended precision, written with each family's own
+    data: positive left of the front equation's root, negative right."""
     alpha, gamma, d, k, kappa, (p, q, g) = _mp_data(mp, problem)
     log_cg = mp.log(kappa * g / (gamma * 2**alpha * d ** ((alpha + 1) / 2)))
+    x = mp.exp(y)
+    z = x * x
+    denom = p * x * mp.hyp1f1(alpha / 2 + 1, 1.5, z) - q * kappa * mp.hyp1f1(alpha / 2 + 0.5, 0.5, z)
+    return (log_cg - mp.log(denom) - (alpha + 1) * y) / (1 + abs(log_cg))
 
-    def log_residual(x):
-        z = x * x
-        denom = p * x * mp.hyp1f1(alpha / 2 + 1, 1.5, z) - q * kappa * mp.hyp1f1(alpha / 2 + 0.5, 0.5, z)
-        return log_cg - mp.log(denom) - (alpha + 1) * mp.log(x)
 
+def mp_front_root(mp, problem: ProblemSpec, x0):
+    """Root of the front equation x**(alpha+1) D(x) = C g near x0, in
+    extended precision.  It is found in y = log x, and the residual is
+    divided by the size of its terms, so that findroot's absolute checks
+    hold for roots far from 1 and where log(C g) is large."""
     # Secant from two points around x0: a default second point x0 + 1/4
     # lies far from small roots.
-    x0 = mp.mpf(x0)
-    return mp.findroot(log_residual, (x0 * (1 - mp.mpf(1e-10)), x0 * (1 + mp.mpf(1e-10))))
+    y0 = mp.log(mp.mpf(x0))
+    return mp.exp(mp.findroot(lambda y: mp_front_log_residual(mp, problem, y),
+                              (y0 - mp.mpf(1e-10), y0 + mp.mpf(1e-10))))
 
 
 def mp_field(mp, problem: ProblemSpec, nu, x, t, digits: int = 40):

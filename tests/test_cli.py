@@ -57,13 +57,29 @@ def test_solve_large_front_coefficient(tmp_path):
     assert payload["coeff_even"] > 0.0
 
 
-def test_solve_root_past_series_overflow_exits_3(capsys):
+PAST_SERIES_OVERFLOW_ARGS = ["--alpha", "50", "--t0", "1", "--d", "1e-20"]
+
+
+def test_solve_root_past_series_overflow_exits_0(tmp_path):
     # The root lies where the front equation's series exceed double
-    # precision; d**((alpha+1)/2) underflowed to 0 in the direct form.
-    assert run(["solve", "--alpha", "50", "--t0", "1", "--d", "1e-20"]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "numerical-failure"
-    assert "overflow" in record["detail"] and "x=" in record["detail"]
+    # precision: it exited 3 while M was summed before its log.
+    mp = pytest.importorskip("mpmath")
+    out = tmp_path / "solve.json"
+    assert run(["solve", *PAST_SERIES_OVERFLOW_ARGS, "--out", str(out)]) == 0
+    nu = json.loads(out.read_text())["nu"]
+    problem = ProblemSpec(alpha=50.0, boundary=Temperature(t0=1.0), d=1e-20)
+    with mp.workdps(50):
+        assert abs(nu - mp_front_root(mp, problem, nu)) <= 1e-13 * nu
+
+
+def test_field_root_past_series_overflow_exits_0(tmp_path):
+    # The unit profile overflowed on its walk to the face: psi was NaN.
+    out = tmp_path / "field.csv"
+    assert run(["field", *PAST_SERIES_OVERFLOW_ARGS, "--nx", "8", "--nt", "2",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    psi = [float(row[2]) for row in rows]
+    assert all(v >= 0.0 for v in psi) and max(psi) > 0.0
 
 
 def test_solve_residual_finite_where_nu_power_overflows(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from _oracles import (
     classical_convective_temperature,
     direct_series_m,
     mp_field,
+    mp_front_log_residual,
     mp_front_root,
 )
 
@@ -197,15 +199,6 @@ def test_front_coefficient_monotone_in_tinf():
     assert nus[0] < nus[1] < nus[2]
 
 
-def test_bracket_failure_reported(monkeypatch):
-    import stefan_kummer.stefan as stefan
-
-    monkeypatch.setattr(stefan, "_MAX_NU", 2.0)
-    p = ProblemSpec(alpha=0.0, boundary=Convective(h0=1.0, t_inf=1e6))
-    with pytest.raises(BracketNotFoundError):
-        solve_front(p)
-
-
 # Fixed nu < 1e-8 probes: a lower bracket pinned at 1e-8 rejected each as
 # "admits no melting front".
 SMALL_NU_SPECS = [
@@ -299,13 +292,13 @@ def test_series_evaluation_budget(monkeypatch):
     import stefan_kummer.stefan as stefan
 
     calls = []
-    real = stefan.kummer_m
+    real = stefan.log_kummer_m
 
     def counting(a, b, z):
         calls.append(z)
         return real(a, b, z)
 
-    monkeypatch.setattr(stefan, "kummer_m", counting)
+    monkeypatch.setattr(stefan, "log_kummer_m", counting)
     cases = [
         (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 18),
         (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 9),
@@ -422,12 +415,82 @@ def test_converged_solve_reports_finite_relative_residual():
     assert abs(sol.solver_report.residual) <= 1e-12
 
 
-def test_root_past_series_overflow_reported():
-    # C = kappa / (gamma 2**alpha d**((alpha+1)/2)) is about exp(1197): the
-    # root lies where the series exceed double precision.
-    p = ProblemSpec(alpha=50.0, boundary=Temperature(t0=1.0), d=1e-20)
-    with pytest.raises(BracketNotFoundError, match=r"overflow.*x=2\d\.\d+"):
-        solve_front(p)
+# C = kappa / (gamma 2**alpha d**((alpha+1)/2)) is about exp(1197): the
+# root lies where the series exceed double precision.
+PAST_SERIES_OVERFLOW = ProblemSpec(alpha=50.0, boundary=Temperature(t0=1.0), d=1e-20)
+
+
+def test_root_past_series_overflow_solves():
+    # It raised BracketNotFoundError while M was summed before its log.
+    mp = pytest.importorskip("mpmath")
+    sol = solve_front(PAST_SERIES_OVERFLOW)
+    assert sol.nu == pytest.approx(29.6177737759425, rel=1e-13)
+    with mp.workdps(50):
+        assert abs(sol.nu - mp_front_root(mp, PAST_SERIES_OVERFLOW, sol.nu)) <= 1e-13 * sol.nu
+
+
+def test_field_past_series_overflow_against_mpmath():
+    # The unit profile grows like exp(nu**2) = 1e381 on its walk to the
+    # face: unscaled it overflowed and the field was NaN.  Near the front u
+    # lies below double range and is 0.
+    mp = pytest.importorskip("mpmath")
+    p, t = PAST_SERIES_OVERFLOW, 2.0
+    sol = solve_front(p)
+    with mp.workdps(60 + int(sol.nu**2 / 2.3)):
+        nu = float(mp_front_root(mp, p, sol.nu))
+        at = dataclasses.replace(sol, nu=nu)
+        xs = at.front_position(t) * np.arange(10) / 10
+        u, u_x = at.temperature(xs, t), at.temperature_flux(xs, t)
+        ref = [mp_field(mp, p, nu, x, t) for x in xs.tolist()]
+    u_ref = np.array([float(v) for v, _ in ref])
+    u_x_ref = np.array([float(v) for _, v in ref])
+    assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(u_x - u_x_ref).max() <= 1e-12 * np.abs(u_x_ref).max()
+    x = at.front_position(t) * np.linspace(0.0, 1.0, 200, endpoint=False)
+    assert (at.temperature(x, t) >= 0.0).all()
+
+
+def _extreme_spec(r):
+    """Every datum log-uniform in [1e-300, 1e300], alpha uniform in [0, 50]."""
+    def u():
+        return math.exp(r.uniform(math.log(1e-300), math.log(1e300)))
+
+    boundary = r.choice([lambda: Convective(h0=u(), t_inf=u()),
+                         lambda: Temperature(t0=u()), lambda: Flux(c=u())])()
+    return ProblemSpec(alpha=r.uniform(0.0, 50.0), boundary=boundary,
+                       gamma=u(), d=u(), k=u())
+
+
+def test_extreme_domain_solves_or_raises_true_error():
+    # Every spec solves to the mpmath root or raises an error that holds:
+    # a coefficient beyond double range, or a root below it.  The bound on
+    # nu is 1e-13 plus the rounding of y = log nu and of the logs of the
+    # data, 4 eps |log nu|: 1e-13 alone fails for some nu below 1e-250.
+    mp = pytest.importorskip("mpmath")
+    r = random.Random(5)
+    outcomes = {"solved": 0, "overflow": 0, "underflow": 0}
+    # About 1 in 1000 of these underflows: one known case is added.
+    underflowing = ProblemSpec(alpha=0.0, boundary=Convective(h0=1e-300, t_inf=1e-300))
+    for p in [_extreme_spec(r) for _ in range(300)] + [underflowing]:
+        try:
+            sol = solve_front(p)
+        except OverflowError as exc:
+            assert "overflow double precision" in str(exc), p
+            outcomes["overflow"] += 1
+            continue
+        except BracketNotFoundError as exc:
+            assert "underflows" in str(exc), p
+            with mp.workdps(50):
+                assert mp_front_log_residual(mp, p, math.log(sys.float_info.min)) < 0, p
+            outcomes["underflow"] += 1
+            continue
+        assert sol.solver_report.iterations <= 7, p
+        with mp.workdps(50):
+            root = mp_front_root(mp, p, sol.nu)
+        bound = 1e-13 + 4.0 * sys.float_info.epsilon * abs(math.log(sol.nu))
+        assert abs(sol.nu - root) <= bound * root, p
+        outcomes["solved"] += 1
+    assert outcomes["solved"] >= 250 and outcomes["underflow"] >= 1, outcomes
 
 
 def test_front_coefficient_below_double_range_reported():
@@ -614,6 +677,15 @@ def test_front_position_examples():
         solver_report=SolverReport(iterations=0, residual=0.0, bracket=(0.0, 1.0)),
     )
     assert made_up.front_position(1.0) == 1.0
+
+
+def test_front_and_field_where_d_t_underflows():
+    # d * t = 1e-330 underflowed: s(t) was 0.0 and eta = 0 / 0 at the face.
+    p = ProblemSpec(alpha=0.4, boundary=Temperature(t0=1e-200), d=1e-300)
+    sol = solve_front(p)
+    assert sol.front_position(1e-30) == pytest.approx(2.0 * sol.nu * 1e-165, rel=1e-15)
+    assert sol.front_speed(1e-30) == pytest.approx(sol.nu * 1e-135, rel=1e-15)
+    assert sol.temperature(0.0, 1e-30) == pytest.approx(1e-200 * 1e-30**0.2, rel=1e-12)
 
 
 @settings(max_examples=100)

@@ -187,8 +187,6 @@ def _parse_values(raw: str | None) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}") from exc
-    if any(v <= 0.0 for v in values):
-        raise UsageError("--values must be positive")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise UsageError("--values must be strictly ascending")
     return values

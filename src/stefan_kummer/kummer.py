@@ -1,10 +1,10 @@
 """Double-precision special functions used by the melting-front solver.
 
 Provides the confluent hypergeometric function M(a, b, z) of the first
-kind, its z-derivative, its logarithm (with z M'/M) for a, b > 0 and
-z >= 0, which unlike M never overflows, checked wrappers of ``math.gamma``
-and ``math.erfc``, and the repeated integrals i^n erfc used by the
-integer-exponent closed forms.
+kind, its z-derivative, the logarithm of the scaled function e^-z M
+(with its z-derivative times z) for a, b > 0 and z >= 0, which unlike M
+never overflows, checked wrappers of ``math.gamma`` and ``math.erfc``, and
+the repeated integrals i^n erfc used by the integer-exponent closed forms.
 
 All functions here take floats and are pure functions of their
 arguments with no shared mutable state; they are safe to call from any
@@ -19,7 +19,7 @@ __all__ = [
     "NonConvergenceError",
     "kummer_m",
     "kummer_m_derivative",
-    "log_kummer_m",
+    "log_kummer_m_scaled",
     "gamma_fn",
     "erfc",
     "iterated_erfc",
@@ -75,23 +75,25 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
 
 
-def log_kummer_m(a: float, b: float, z: float) -> tuple[float, float]:
-    """(log M(a, b, z), z M'(a, b, z) / M(a, b, z)) for a, b > 0 and finite
-    z >= 0, where every term of the series is positive.
+def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
+    """(L, z L') with L = log(e^-z M(a, b, z)) = log M - z, for a, b > 0
+    and finite z >= 0, where every term of the series is positive.
 
-    Above z = 30 the large-argument expansion (DLMF 13.7.2)
+    Above z = 30 the large-argument expansion of e^-z M = M(b-a, b, -z)
+    (DLMF 13.2.39, 13.7.2)
 
-        log M = lgamma(b) - lgamma(a) + z + (a-b) log z + log S,
+        L = lgamma(b) - lgamma(a) + (a-b) log z + log S,
         S = sum_s (1-a)_s (b-a)_s / (s! z**s),
 
     is summed while its terms fall, and taken where the last of them and a
     bound on the exponentially small part it omits are below 1e-16 of S.
-    Elsewhere the series is summed with a running rescale (``_m_series``).
-    Either gives log M to about 1e-16 of max(1, |log M|) and z M'/M to
-    about 1e-14 relative.
+    Elsewhere the series is summed with a running rescale (``_m_series``)
+    and z subtracted.  L is good to about 1e-16 of max(1, |L|) above z = 30
+    and of max(1, z) below, and z L' + z = z M'/M to about 1e-14 relative.
     """
     if not (a > 0.0 and b > 0.0 and 0.0 <= z < math.inf):
-        raise ValueError(f"log_kummer_m needs a, b > 0 and finite z >= 0, got {(a, b, z)}")
+        raise ValueError(
+            f"log_kummer_m_scaled needs a, b > 0 and finite z >= 0, got {(a, b, z)}")
     if z > 30.0:
         term, total, slope = 1.0, 1.0, 0.0
         for s in range(1, _SERIES_TERM_CAP):
@@ -110,10 +112,10 @@ def log_kummer_m(a: float, b: float, z: float) -> tuple[float, float]:
         omitted = (math.lgamma(a) + (math.lgamma(1.0 + a - b) if a > b else 0.0)
                    - z + (b - 2.0 * a) * log_z)
         if abs(term) <= _SERIES_RTOL * total and omitted < math.log(_SERIES_RTOL):
-            return (math.lgamma(b) - math.lgamma(a) + z + (a - b) * log_z
-                    + math.log(total), z + a - b - slope / total)
+            return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z
+                    + math.log(total), a - b - slope / total)
     m, zm, e = _m_series(a, b, z)
-    return math.log(m) + e * math.log(2.0), zm / m
+    return math.log(m) + e * math.log(2.0) - z, zm / m - z
 
 
 def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:

@@ -68,11 +68,9 @@ def field_convergence_gap(
     ts: Sequence[float],
 ) -> float:
     """Largest deviation of the finite-h0 temperature from the limit
-    temperature over the sample grid xs x ts.  An empty grid raises
-    ValueError."""
+    temperature over the sample grid xs x ts.  An empty grid, or an h0
+    that ``Convective`` rejects, raises ValueError."""
     boundary = _require_convective(base)
-    if h0 <= 0.0:
-        raise ValueError(f"h0 must be positive, got {h0}")
     x = np.asarray(xs, dtype=float)
     t = np.asarray(ts, dtype=float)[:, None]
     if not (x.size and t.size):

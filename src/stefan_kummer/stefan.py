@@ -29,16 +29,17 @@ root of the one front equation
     x^{alpha+1} = C g / D(x),      C = kappa / (gamma 2^alpha d^{(alpha+1)/2}).
 
 Both sides are products of powers and exponentials, so ``solve_front``
-takes logs: in y = log x it finds the root of
+takes logs: in y = log x, with z = x^2, it finds the root of
 
-    G(y) = log(C g) - log D(e^y) - (alpha+1) y,
+    G(y) = log(C g) - z - log D~(e^y) - (alpha+1) y,      D~ = e^-z D,
 
 a relative residual of the front equation.  log(C g) is a sum of logs of
-the data and log D is summed from ``log_kummer_m`` of its (one or two)
-positive terms, so G is finite for every y.  G is concave and decreasing,
-so Newton's method from right of the root converges monotonically, and
-stops once |G| is within its rounding (at least 1e-12).  One final
-evaluation at the root gives the coefficients A and B of the closed form.
+the data and log D~ is summed from ``log_kummer_m_scaled`` (the log of
+e^-z M, of size log z) of its (one or two) positive terms, so G is finite
+for every y.  G is concave and decreasing, so Newton's method from right
+of the root converges monotonically, and stops once |G| is within its
+rounding (at least 1e-12).  One final evaluation at the root gives the
+coefficients by Cramer's rule, A = g g_o / D and B = -g g_e / D.
 
 The field is not summed from that formula, whose two terms grow like
 eta^alpha and cancel in the melt: ``SimilaritySolution`` walks the profile
@@ -66,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m
+from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
 
 __all__ = [
     "BracketNotFoundError",
@@ -89,6 +90,7 @@ _RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 100
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
 # Taylor order of the pieces of the field profile.
 _PROFILE_ORDER = 30
 # The field is continued past the front up to eta = max(nu, _MAX_ETA): the
@@ -190,22 +192,28 @@ class SolverReport:
     bracket: tuple[float, float]
 
 
+def _times_exp(g: float, log_g: float, x: float) -> float:
+    """g e^x for g > 0, as exp(log g + x) where e^x is not a normal float; inf past range."""
+    if not _LOG_MIN < x < _LOG_MAX:
+        g, x = 1.0, x + log_g
+    return g * math.exp(x) if x < _LOG_MAX else math.inf
+
+
 def _front_g(problem: ProblemSpec):
     """The closure ``front(y, coefficients=False)`` of y = log x, the one
-    place where D is formed.  It returns G(y) = log(C g) - log D(e^y)
-    - (alpha+1) y, G'(y) and the rounding of G (4 eps times the sum of its
-    terms' sizes, at least 1e-12), summing only the series D needs; with
-    ``coefficients`` it sums both and returns G and the A and B that meet
-    p A + q kappa B = g and A g_e + B g_o = 0 at x = e^y.
+    place where D is formed: G(y) = log(C g) - z - log D~(e^y) - (alpha+1) y
+    with z = x^2, G'(y) and the rounding of G (4 eps times its terms' sizes,
+    at least 1e-12) from the series D needs, or G, A and B from both.
 
-    log D = t + log1p(w) from the logs t_o of p g_o and t_e of -q kappa g_e,
-    t the larger and w = e^(t' - t) <= 1, and G' = -(dt/dy + w dt'/dy)
-    / (1 + w) - (alpha+1) with dt_o/dy = 1 + 2 z M_o'/M_o and
-    dt_e/dy = 2 z M_e'/M_e (``log_kummer_m``).  The larger term has the
-    share s = 1 / (1 + w) of D.  If it is p g_o, A = g s / p and B = -A r,
-    r = g_e / g_o; else B = -g s / (-q kappa), formed from log kappa, and
-    A = -B / r.  So neither kappa nor 1 / kappa is formed, and B beyond
-    double range is -inf.
+    D~ = e^-z D = p x M~_o - q kappa M~_e, M~ = e^-z M, with logs L and z L'
+    from ``log_kummer_m_scaled``.  log D~ = t + log1p(w) from the logs t_o,
+    t_e of its terms, t the larger and w = e^(t' - t) <= 1, and G' = -2z
+    - (dt/dy + w dt'/dy) / (1 + w) - (alpha+1), dt_o/dy = 1 + 2 z L_o',
+    dt_e/dy = 2 z L_e'.  Cramer's rule on p A + q kappa B = g and
+    A g_e + B g_o = 0 gives A = g g_o / D = g e^(y + L_o - log D~) and
+    B = -g g_e / D = -g e^(L_e - log D~) (``_times_exp``).  So kappa enters
+    through log D~ only, A = g exactly where q = 0, and a coefficient beyond
+    double range is inf.
     """
     alpha, d = problem.alpha, problem.d
     a = alpha / 2.0
@@ -219,38 +227,29 @@ def _front_g(problem: ProblemSpec):
 
     def front(y: float, coefficients: bool = False):
         z = math.exp(2.0 * y)
-        lm_o, zm_o = log_kummer_m(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
-        lm_e, zm_e = log_kummer_m(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
-        t_o = log_p + y + lm_o
+        lm_o, zm_o = log_kummer_m_scaled(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
+        lm_e, zm_e = log_kummer_m_scaled(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
         (hi, d_hi), (lo, d_lo) = sorted(
-            ((t_o, 1.0 + 2.0 * zm_o), (log_qk + lm_e, 2.0 * zm_e)), reverse=True)
+            ((log_p + y + lm_o, 1.0 + 2.0 * zm_o), (log_qk + lm_e, 2.0 * zm_e)), reverse=True)
         w = math.exp(lo - hi)
         log_d = hi + math.log1p(w)
-        value = log_cg - log_d - (alpha + 1.0) * y
-        slope = -(d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0)
+        value = log_cg - (log_d + z) - (alpha + 1.0) * y
+        slope = -2.0 * z - (d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0)
         rounding = max(_RESIDUAL_TOL, 4.0 * sys.float_info.epsilon
-                       * (abs(log_cg) + abs(log_d) + (alpha + 1.0) * abs(y)))
+                       * (abs(log_cg) + z + abs(log_d) + (alpha + 1.0) * abs(y)))
         if not coefficients:
             return value, slope, rounding
-        r = math.exp(lm_e - lm_o - y)
-        if hi == t_o:
-            coeff_even = g / p / (1.0 + w)
-            coeff_odd = -coeff_even * r
-        else:
-            log_b = log_g - log_qk - math.log1p(w)
-            coeff_odd = -math.exp(log_b) if log_b < _LOG_MAX else -math.inf
-            coeff_even = -coeff_odd / r
-        return value, coeff_even, coeff_odd
+        return value, _times_exp(g, log_g, y + lm_o - log_d), -_times_exp(g, log_g, lm_e - log_d)
 
     return front
 
 
 def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
     """Left-hand side C g / D(x) of the front equation, a strictly
-    decreasing function of x > 0."""
+    decreasing function of x > 0, inf past double range."""
     _require_positive("x", x)
     y = math.log(x)
-    return math.exp(_front_g(problem)(y)[0] + (problem.alpha + 1.0) * y)
+    return _times_exp(1.0, 0.0, _front_g(problem)(y)[0] + (problem.alpha + 1.0) * y)
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:

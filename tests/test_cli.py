@@ -198,6 +198,22 @@ def test_sweep_vary_alpha(tmp_path):
     assert [float(r[0]) for r in rows] == [0.5, 1.0, 2.0]
 
 
+def test_sweep_vary_alpha_from_zero(tmp_path):
+    # alpha = 0, the default and the classical case, exited 2 as not positive.
+    out, solved = tmp_path / "sweep.csv", tmp_path / "solve.json"
+    assert run(["sweep", "--vary", "alpha", "--values", "0,0.5,1", "--t0", "1",
+                "--out", str(out)]) == 0
+    assert run(["solve", "--alpha", "0", "--t0", "1", "--out", str(solved)]) == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+    assert float(rows[0][1]) == json.loads(solved.read_text())["nu"]
+
+
+def test_sweep_value_the_problem_rejects_exits_2(capsys):
+    assert run(["sweep", "--vary", "h0", "--values=-1,1", "--tinf", "1"]) == 2
+    assert "h0 must be a positive" in json.loads(capsys.readouterr().err)["detail"]
+
+
 def test_sweep_empty_values_exits_2():
     assert run(["sweep", "--vary", "h0", "--values", "", "--tinf", "1"]) == 2
 

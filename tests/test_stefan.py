@@ -102,6 +102,14 @@ def test_lhs_rejects_nonpositive_x():
         front_equation_lhs(FIG9, -1.0)
 
 
+def test_lhs_past_double_range_is_inf():
+    # C g / D(x) is about 5e309 here: exp of its log raised a bare
+    # "math range error".
+    p = ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e10))
+    assert front_equation_lhs(p, 1e-300) == math.inf
+    assert front_equation_residual(p, 1e-300) == math.inf
+
+
 def test_residual_positive_near_zero():
     for p in SAMPLE_SPECS:
         r = front_equation_residual(p, 1e-8)
@@ -288,17 +296,37 @@ def test_face_relation_holds_at_extreme_conductivity(k, d, boundary):
     assert sol.coeff_even > 0.0 > sol.coeff_odd
 
 
+@pytest.mark.parametrize("p", [
+    # nu 77.6: A and B were read from the difference of two logs of size
+    # nu**2 = 6000, and met the front condition only to 5.4e-13.
+    ProblemSpec(alpha=50.0, boundary=Convective(h0=1e50, t_inf=1e100),
+                gamma=1e-100, d=1e-100, k=1e10),
+    # A = 2.9e-196 from t_inf = 9.8e154 times e**-807, which is below
+    # double range on its own.
+    ProblemSpec(alpha=7.856529993905436,
+                boundary=Convective(h0=3.4373223904194135e-296, t_inf=9.827266518032144e+154),
+                gamma=3.7718770678187865e-158, d=2.1552830933501798e+182,
+                k=1.0493181657747185e+57),
+])
+def test_coefficients_meet_both_conditions_at_extremes(p):
+    mp = pytest.importorskip("mpmath")
+    sol = solve_front(p)
+    with mp.workdps(80):
+        face, front, _ = _mp_condition_residuals(mp, sol)
+    assert front <= 1e-14 and face <= 1e-13, (face, front)
+
+
 def test_series_evaluation_budget(monkeypatch):
     import stefan_kummer.stefan as stefan
 
     calls = []
-    real = stefan.log_kummer_m
+    real = stefan.log_kummer_m_scaled
 
     def counting(a, b, z):
         calls.append(z)
         return real(a, b, z)
 
-    monkeypatch.setattr(stefan, "log_kummer_m", counting)
+    monkeypatch.setattr(stefan, "log_kummer_m_scaled", counting)
     cases = [
         (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 18),
         (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 9),

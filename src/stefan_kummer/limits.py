@@ -45,13 +45,14 @@ def limit_problem(base: ProblemSpec) -> ProblemSpec:
 
 
 def run_limit_study(base: ProblemSpec, h0_grid: Sequence[float]) -> LimitStudy:
-    """Front coefficients along an ascending h0 grid plus the limit value."""
+    """Front coefficients along an ascending h0 grid plus the limit value.
+    An empty grid, or an h0 that ``Convective`` rejects, raises ValueError."""
     boundary = _require_convective(base)
     grid = tuple(float(h) for h in h0_grid)
     if not grid:
         raise ValueError("h0_grid must be nonempty")
-    if any(h <= 0.0 for h in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("h0_grid must be positive and strictly ascending")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("h0_grid must be strictly ascending")
     nu_values = tuple(
         solve_front(replace(base, boundary=replace(boundary, h0=h))).nu for h in grid
     )

@@ -31,8 +31,9 @@ melted block 0..m-1 plus a forward substitution for the front cell m.
 The block matrix is an M-matrix, so cells melted at the start of a step
 stay melted and the block only grows: a Newton step that melts cell m
 adds it to the block, and the iteration stops when a step leaves m
-unchanged, which makes the step exact up to round-off.  A step that
-needs more than a fixed number of iterations raises RuntimeError.
+unchanged, which makes the step exact up to round-off.  A step may melt
+any number of cells: nothing but the front reaching the domain end, which
+raises RuntimeError, stops it.
 Convective and temperature faces are implicit at the new time; a flux
 face lets in the exact time integral of its datum over the step.
 
@@ -63,12 +64,6 @@ __all__ = [
     "run_oracle",
     "compare_to_closed_form",
 ]
-
-# Newton iterations per time step before giving up.  Each iteration past
-# the first melts one more cell, so the cap bounds the cells one step may
-# melt.  The step rule keeps that near dt_safety; only the first steps of
-# a cold start on a fine grid come close.
-_MAX_NEWTON_ITERATIONS = 200
 
 # Temperature snapshots per run, at equally spaced times after the start.
 _N_SNAPSHOTS = 10
@@ -202,7 +197,7 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         # at most 1 since every step ends with H[m] <= lam[m]
         return (m + H[m] / lam[m]) * dx
 
-    newton_iterations = 0
+    m_start = m
     t = t0
     times, fronts = [t], [front()]
     while t < cfg.t_end:
@@ -220,7 +215,6 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         w: list[float] = []
         v: list[float] = []
         w_i = v_i = 0.0
-        iterations = 0
         while True:
             for i in range(len(v), m):
                 if i:
@@ -232,16 +226,9 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
                 w_i = rdt / pivot
                 w.append(w_i)
                 v.append(v_i)
-            iterations += 1
             h_front = H[m] + (rdt * v_i if m else a)
             if h_front <= lam[m]:
                 break
-            if iterations == _MAX_NEWTON_ITERATIONS:
-                raise RuntimeError(
-                    f"Newton iteration stopped at its cap of {iterations}: one step "
-                    f"melted over {iterations - 1} cells at t={t_new}; lower "
-                    f"dt_safety or start_fraction"
-                )
             m += 1
             _check_room(m, nx, t_new)
         H[m] = h_front
@@ -250,7 +237,6 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
             u = v[i] + w[i] * u
             H[i] = lam[i] + heat_capacity * u
         energy_in += a - b * u  # u is u_0 here, or 0 with no melted block
-        newton_iterations += iterations
         t = t_new
         times.append(t)
         fronts.append(front())
@@ -269,7 +255,8 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
         front_positions=np.asarray(fronts),
         temperature_snapshots=tuple(snapshots),
         energy_balance_drift=drift,
-        newton_iterations=newton_iterations,
+        # one Newton iteration per step, plus one per cell it melted
+        newton_iterations=len(times) - 1 + m - m_start,
     )
 
 

@@ -189,7 +189,6 @@ class ProblemSpec:
 class SolverReport:
     iterations: int
     residual: float
-    bracket: tuple[float, float]
 
 
 def _times_exp(g: float, log_g: float, x: float) -> float:
@@ -249,12 +248,20 @@ def front_equation_lhs(problem: ProblemSpec, x: float) -> float:
     decreasing function of x > 0, inf past double range."""
     _require_positive("x", x)
     y = math.log(x)
+    if 2.0 * y > _LOG_MAX:
+        # z = x**2 overflows, and C g e^-z / D~ lies below every subnormal.
+        return 0.0
     return _times_exp(1.0, 0.0, _front_g(problem)(y)[0] + (problem.alpha + 1.0) * y)
 
 
 def front_equation_residual(problem: ProblemSpec, x: float) -> float:
-    """lhs(x) - x**(alpha+1): positive left of the root, negative right."""
-    return front_equation_lhs(problem, x) - x ** (problem.alpha + 1.0)
+    """lhs(x) - x**(alpha+1): positive left of the root, negative right,
+    -inf where x**(alpha+1) is past double range."""
+    lhs = front_equation_lhs(problem, x)
+    try:
+        return lhs - x ** (problem.alpha + 1.0)
+    except OverflowError:
+        return -math.inf
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -433,9 +440,8 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     the slope that came with the series (``_front_g``) then run until |G| is
     within its rounding (at least 1e-12: G is a relative residual, so one
     stop serves every scale of nu), and take that last step too.
-    ``SolverReport.iterations`` counts the Newton steps, ``bracket`` is
-    (the largest x seen with G > 0, else 0; the x where Newton starts), and
-    ``residual`` is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
+    ``SolverReport.iterations`` counts the Newton steps, and ``residual``
+    is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
     """
     front = _front_g(problem)
     x, g = 0.5, math.inf
@@ -443,7 +449,6 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
         x *= 2.0
         y = math.log(x)
         g, slope, rounding = front(y)
-    bracket = (x / 2.0 if x > 1.0 else 0.0, x)
     for iterations in range(1, _MAX_ITERATIONS + 1):
         y -= g / slope
         if abs(g) <= rounding:
@@ -461,7 +466,7 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
             f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow "
             f"double precision ({problem!r})"
         )
-    report = SolverReport(iterations=iterations, residual=math.expm1(g), bracket=bracket)
+    report = SolverReport(iterations=iterations, residual=math.expm1(g))
     return SimilaritySolution(
         problem=problem,
         nu=nu,

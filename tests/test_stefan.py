@@ -110,6 +110,18 @@ def test_lhs_past_double_range_is_inf():
     assert front_equation_residual(p, 1e-300) == math.inf
 
 
+def test_lhs_and_residual_where_powers_of_x_overflow():
+    # z = x**2 overflowed inside the front equation (x above 1.34e154), and
+    # x**(alpha+1) in the residual: both raised a bare OverflowError.
+    p = ProblemSpec(alpha=1.0, boundary=Temperature(t0=1.0))
+    assert front_equation_lhs(p, 1e160) == 0.0
+    assert front_equation_residual(p, 1e160) == -math.inf
+    p5 = ProblemSpec(alpha=5.0, boundary=Temperature(t0=1.0))
+    assert front_equation_lhs(p5, 1e60) == 0.0
+    assert front_equation_residual(p5, 1e60) == -math.inf
+    assert front_equation_residual(p5, 1e50) == -(1e50**6.0)
+
+
 def test_residual_positive_near_zero():
     for p in SAMPLE_SPECS:
         r = front_equation_residual(p, 1e-8)
@@ -702,7 +714,7 @@ def test_front_position_examples():
         nu=0.5,
         coeff_even=1.0,
         coeff_odd=-1.0,
-        solver_report=SolverReport(iterations=0, residual=0.0, bracket=(0.0, 1.0)),
+        solver_report=SolverReport(iterations=0, residual=0.0),
     )
     assert made_up.front_position(1.0) == 1.0
 

@@ -38,9 +38,8 @@ from .stefan import (
     SimilaritySolution,
     SolverReport,
     Temperature,
-    front_equation_integer_alpha,
-    front_equation_lhs,
-    front_equation_residual,
+    front_log_residual,
+    front_log_residual_integer_alpha,
     solve_front,
     temperature_integer_alpha,
 )
@@ -71,9 +70,8 @@ __all__ = [
     "field_convergence_gap",
     "flux_threshold",
     "flux_to_convective",
-    "front_equation_integer_alpha",
-    "front_equation_lhs",
-    "front_equation_residual",
+    "front_log_residual",
+    "front_log_residual_integer_alpha",
     "gamma_fn",
     "iterated_erfc",
     "kummer_m",

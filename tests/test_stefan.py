@@ -16,9 +16,8 @@ from stefan_kummer import (
     SimilaritySolution,
     SolverReport,
     Temperature,
-    front_equation_integer_alpha,
-    front_equation_lhs,
-    front_equation_residual,
+    front_log_residual,
+    front_log_residual_integer_alpha,
     solve_front,
     temperature_integer_alpha,
 )
@@ -75,11 +74,22 @@ def test_nonpositive_material_data_rejected():
 # ---- front equation ----
 
 
+def _lhs(p, x):
+    """C g / D(x), the left side of the front equation x**(alpha+1) = C g / D(x),
+    as exp of the log form: G(log x) = log(C g / D(x)) - (alpha+1) log x."""
+    return math.exp(front_log_residual(p, x) + (p.alpha + 1.0) * math.log(x))
+
+
+def _residual(p, x):
+    """C g / D(x) - x**(alpha+1), the linear residual of the front equation."""
+    return _lhs(p, x) - x ** (p.alpha + 1.0)
+
+
 def test_lhs_limit_at_zero():
     # All series factors are 1 at zero argument, so the lhs tends to the
     # bare prefactor, here 1.
     p = ProblemSpec(alpha=0.0, boundary=Convective(h0=1.0, t_inf=1.0))
-    assert front_equation_lhs(p, 1e-8) == pytest.approx(1.0, rel=1e-7)
+    assert _lhs(p, 1e-8) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_lhs_temperature_variant_value():
@@ -87,61 +97,72 @@ def test_lhs_temperature_variant_value():
     # the denominator summed directly as an oracle.
     p = ProblemSpec(alpha=0.0, boundary=Temperature(t0=1.0))
     expected = 0.5 / direct_series_m(1.0, 1.5, 1.0)
-    assert front_equation_lhs(p, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert _lhs(p, 1.0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_lhs_decreasing():
     for p in SAMPLE_SPECS:
-        assert front_equation_lhs(p, 0.5) > front_equation_lhs(p, 1.0)
+        assert _lhs(p, 0.5) > _lhs(p, 1.0)
 
 
 def test_lhs_rejects_nonpositive_x():
-    with pytest.raises(ValueError):
-        front_equation_lhs(FIG9, 0.0)
-    with pytest.raises(ValueError):
-        front_equation_lhs(FIG9, -1.0)
+    for x in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^x must be"):
+            front_log_residual(FIG9, x)
+        with pytest.raises(ValueError, match="^x must be"):
+            front_log_residual_integer_alpha(SAMPLE_SPECS[1], x)
 
 
 def test_lhs_past_double_range_is_inf():
     # C g / D(x) is about 5e309 here: exp of its log raised a bare
-    # "math range error".
+    # "math range error".  Its log is finite.
     p = ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e10))
-    assert front_equation_lhs(p, 1e-300) == math.inf
-    assert front_equation_residual(p, 1e-300) == math.inf
+    g = front_log_residual(p, 1e-300)
+    assert g == pytest.approx(1403.88, abs=0.01)
+    assert g + math.log(1e-300) > math.log(sys.float_info.max)
 
 
 def test_lhs_and_residual_where_powers_of_x_overflow():
     # z = x**2 overflowed inside the front equation (x above 1.34e154), and
-    # x**(alpha+1) in the residual: both raised a bare OverflowError.
+    # x**(alpha+1) in the linear residual: both raised a bare OverflowError.
+    # The log form is finite wherever x**2 is, and names x past that.
     p = ProblemSpec(alpha=1.0, boundary=Temperature(t0=1.0))
-    assert front_equation_lhs(p, 1e160) == 0.0
-    assert front_equation_residual(p, 1e160) == -math.inf
+    with pytest.raises(ValueError, match=r"^x must be positive with x\*\*2 finite"):
+        front_log_residual(p, 1e160)
+    with pytest.raises(ValueError, match=r"^x must be positive with x\*\*2 finite"):
+        front_log_residual_integer_alpha(p, 1e160)
+    assert math.isfinite(front_log_residual(p, 1.3e154))
     p5 = ProblemSpec(alpha=5.0, boundary=Temperature(t0=1.0))
-    assert front_equation_lhs(p5, 1e60) == 0.0
-    assert front_equation_residual(p5, 1e60) == -math.inf
-    assert front_equation_residual(p5, 1e50) == -(1e50**6.0)
+    g = front_log_residual(p5, 1e60)
+    # the lhs underflows to 0 and x**6 overflows: the residual is -inf
+    assert -math.inf < g < 0.0
+    assert math.exp(g + 6.0 * math.log(1e60)) == 0.0
+    assert 6.0 * math.log(1e60) > math.log(sys.float_info.max)
+    # lhs / x**6 - 1 = expm1(G) rounds to -1: the residual is -(1e50**6)
+    assert math.expm1(front_log_residual(p5, 1e50)) == -1.0
 
 
 def test_residual_positive_near_zero():
     for p in SAMPLE_SPECS:
-        r = front_equation_residual(p, 1e-8)
+        r = _residual(p, 1e-8)
         assert r > 0.0
-        assert r == pytest.approx(front_equation_lhs(p, 1e-8), rel=1e-6)
+        assert r == pytest.approx(_lhs(p, 1e-8), rel=1e-6)
 
 
 def test_residual_sign_change_bracket():
     p = ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))
-    assert front_equation_residual(p, 1e-6) > 0.0
-    assert front_equation_residual(p, 10.0) < 0.0
+    assert front_log_residual(p, 1e-6) > 0.0
+    assert front_log_residual(p, 10.0) < 0.0
 
 
 def test_residual_strictly_decreasing_single_sign_change():
     for p in SAMPLE_SPECS:
         xs = [0.02 * i for i in range(1, 150)]
-        values = [front_equation_residual(p, x) for x in xs]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        signs = [v > 0.0 for v in values]
-        assert signs.count(False) == 0 or signs.index(False) == signs.count(True)
+        for residual in (_residual, front_log_residual):
+            values = [residual(p, x) for x in xs]
+            assert all(a > b for a, b in zip(values, values[1:]))
+            signs = [v > 0.0 for v in values]
+            assert signs.count(False) == 0 or signs.index(False) == signs.count(True)
 
 
 def test_alpha0_residual_matches_erf_form_root():
@@ -151,7 +172,8 @@ def test_alpha0_residual_matches_erf_form_root():
     root = bisect(lambda x: classical_convective_residual(x, 1.0, 1.0), 1e-8, 2.0)
     # 200-step bisection of the erf form gives 0.4462009092593090.
     assert root == pytest.approx(0.44620090925930897772, abs=1e-14)
-    assert abs(front_equation_residual(p, root)) <= 1e-13
+    # the linear residual x**(alpha+1) expm1(G)
+    assert abs(root * math.expm1(front_log_residual(p, root))) <= 1e-13
     assert solve_front(p).nu == pytest.approx(root, abs=1e-12)
 
 
@@ -171,15 +193,15 @@ def test_solver_iteration_budget():
         report = solve_front(p).solver_report
         assert report.iterations <= 25
         assert abs(report.residual) <= 1e-12 * max(
-            1.0, front_equation_lhs(p, solve_front(p).nu)
+            1.0, _lhs(p, solve_front(p).nu)
         )
 
 
 def test_solution_residual_invariant():
     for p in SAMPLE_SPECS:
         sol = solve_front(p)
-        lhs = front_equation_lhs(p, sol.nu)
-        assert abs(front_equation_residual(p, sol.nu)) <= 1e-12 * max(1.0, abs(lhs))
+        lhs = _lhs(p, sol.nu)
+        assert abs(_residual(p, sol.nu)) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_residual_stop_is_relative_for_small_lhs():
@@ -189,8 +211,8 @@ def test_residual_stop_is_relative_for_small_lhs():
     sol = solve_front(p)
     assert sol.nu == pytest.approx(0.0388428558, rel=1e-9)
     assert abs(sol.nu - bisect_front(p)) <= 1e-12
-    lhs = front_equation_lhs(p, sol.nu)
-    assert abs(front_equation_residual(p, sol.nu)) <= 1e-12 * lhs
+    lhs = _lhs(p, sol.nu)
+    assert abs(_residual(p, sol.nu)) <= 1e-12 * lhs
 
 
 def test_large_h0_approaches_imposed_temperature():
@@ -795,6 +817,9 @@ def test_alpha0_temperature_matches_erf_form():
 
 
 # ---- integer exponents ----
+# temperature_integer_alpha checks the field to a few eps of u(0, t), not
+# near the front at large nu, where its two terms cancel; the bounds below
+# are relative to the face temperature (or to 1).
 
 
 def test_integer_alpha_temperature_forms_agree():
@@ -839,7 +864,7 @@ def test_integer_alpha_temperature_vanishes_at_front():
 def test_integer_alpha_front_equation_roots_coincide():
     p = ProblemSpec(alpha=1.0, boundary=Convective(h0=1.0, t_inf=1.0))
     nu = solve_front(p).nu
-    root = bisect(lambda x: front_equation_integer_alpha(p, x), 1e-6, 2.0)
+    root = bisect(lambda x: front_log_residual_integer_alpha(p, x), 1e-6, 2.0)
     assert abs(root - nu) <= 1e-10
     # 220-step bisection of the full form gives 0.44425713157295275282.
     assert nu == pytest.approx(0.4442571315729528, abs=1e-13)
@@ -848,20 +873,22 @@ def test_integer_alpha_front_equation_roots_coincide():
 def test_integer_alpha_front_equation_classical_reduction():
     p = ProblemSpec(alpha=0.0, boundary=Convective(h0=1.0, t_inf=1.0))
     for x in (0.2, 0.5, 1.0):
-        assert front_equation_integer_alpha(p, x) == pytest.approx(
-            classical_convective_residual(x, 1.0, 1.0) * 1.0, rel=1e-12
+        # the linear residual, times exp(-x**2), is x expm1(G)
+        twin = front_log_residual_integer_alpha(p, x)
+        assert x * math.exp(x * x) * math.expm1(twin) == pytest.approx(
+            classical_convective_residual(x, 1.0, 1.0), rel=1e-12
         )
 
 
 def test_integer_alpha_residual_negative_at_large_x():
     for p in SAMPLE_SPECS[:3]:
         if isinstance(p.boundary, Convective) and p.alpha == int(p.alpha):
-            assert front_equation_integer_alpha(p, 10.0) < 0.0
+            assert front_log_residual_integer_alpha(p, 10.0) < 0.0
 
 
 def test_integer_alpha_rejects_fractional_exponent():
     with pytest.raises(ValueError):
-        front_equation_integer_alpha(FIG9, 0.5)
+        front_log_residual_integer_alpha(FIG9, 0.5)
     with pytest.raises(ValueError):
         temperature_integer_alpha(solve_front(FIG9), 0.1, 1.0)
 
@@ -876,14 +903,72 @@ def test_integer_alpha_forms_hold_for_every_family(boundary, n):
     for gamma, d, k in ((1.0, 1.0, 1.0), (0.4, 2.1, 0.7), (3.0, 0.5, 2.0)):
         p = ProblemSpec(alpha=float(n), boundary=boundary, gamma=gamma, d=d, k=k)
         sol = solve_front(p)
-        root = bisect(lambda x: front_equation_integer_alpha(p, x), 1e-6, 10.0)
+        root = bisect(lambda x: front_log_residual_integer_alpha(p, x), 1e-6, 10.0)
         assert abs(root - sol.nu) <= 1e-10, (gamma, d, k)
         for t in (0.5, 2.0):
+            # at nu below 1.4 here, a bound of 1e-12 of the face holds at 0.99 s(t)
             face = sol.temperature(0.0, t)
             for frac in (0.0, 0.3, 0.7, 0.99):
                 x = frac * sol.front_position(t)
                 got = temperature_integer_alpha(sol, x, t)
                 assert abs(got - sol.temperature(x, t)) <= 1e-12 * face, (gamma, d, k, t, frac)
+
+
+def test_log_residual_matches_twin_at_every_solver_iterate(monkeypatch):
+    # G from scaled Kummer logs against its repeated-erfc twin, which sums
+    # no Kummer series, at every y that solve_front visits, up to nu 77.6.
+    # The 1/x term is the twin's own cancellation in F_n at small x.
+    import stefan_kummer.stefan as stefan
+
+    visited = []
+    real = stefan._front_g
+
+    def recording(problem):
+        front = real(problem)
+
+        def wrapped(y, coefficients=False):
+            visited.append(y)
+            return front(y, coefficients)
+
+        return wrapped
+
+    monkeypatch.setattr(stefan, "_front_g", recording)
+    r = random.Random(5)
+
+    def u(lo, hi):
+        return math.exp(r.uniform(math.log(lo), math.log(hi)))
+
+    specs = [ProblemSpec(alpha=float(r.randint(0, 50)), boundary=_WIDE_BOUNDARIES[family](u),
+                         gamma=u(1e-9, 1e9), d=u(1e-9, 1e9), k=u(1e-9, 1e9))
+             for family in sorted(_WIDE_BOUNDARIES) for _ in range(200)]
+    specs += [ProblemSpec(alpha=50.0, boundary=Convective(h0=1e50, t_inf=1e100),
+                          gamma=1e-100, d=1e-100, k=1e10), PAST_SERIES_OVERFLOW]
+    eps, nus = sys.float_info.epsilon, []
+    for p in specs:
+        visited.clear()
+        nus.append(solve_front(p).nu)
+        for x in [math.exp(y) for y in visited]:
+            g, twin = front_log_residual(p, x), front_log_residual_integer_alpha(p, x)
+            scale = 1.0 + abs(g) + x * x + (p.alpha + 1.0) * abs(math.log(x)) + 1.0 / x
+            assert abs(g - twin) <= 16.0 * eps * scale, (p, x, g, twin)
+    assert max(nus) > 77.0 and min(nus) < 1e-6
+
+
+@pytest.mark.parametrize("n", [268, 342])
+@pytest.mark.parametrize("boundary", [
+    Convective(h0=0.5, t_inf=1.0), Temperature(t0=1.0), Flux(c=1.0),
+], ids=["convective", "temperature", "flux"])
+def test_integer_alpha_forms_raise_past_double_range(boundary, n):
+    # 2**n Gamma(n/2+1) overflows from alpha 268: the residual was nan or of
+    # the wrong sign, the field nan, and from alpha 342 math.gamma raised a
+    # bare "math range error".
+    sol = solve_front(ProblemSpec(alpha=float(n), boundary=boundary))
+    with pytest.raises(OverflowError, match=f"alpha={n} the repeated-erfc factors leave"):
+        front_log_residual_integer_alpha(sol.problem, sol.nu)
+    with pytest.raises(OverflowError, match=f"alpha={n} the repeated-erfc factors leave"):
+        front_log_residual_integer_alpha(sol.problem, 0.3)
+    with pytest.raises(OverflowError, match=f"alpha={n} the repeated-erfc factors leave"):
+        temperature_integer_alpha(sol, 0.5 * sol.front_position(1.0), 1.0)
 
 
 @pytest.mark.parametrize("problem", [

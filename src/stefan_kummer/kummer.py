@@ -30,7 +30,6 @@ __all__ = [
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi)
 
 _SERIES_RTOL = 1e-16
-_SERIES_QUIET_RUN = 3
 _SERIES_TERM_CAP = 10_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
@@ -120,18 +119,21 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
 
 def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
     """(m, zm, e) with M(a, b, z) = m 2**e and z M'(a, b, z) = zm 2**e,
-    summed from term_{s+1} = term_s * (a+s) / ((b+s)(s+1)) * z, and zm from
-    s term_s.  The relative stop requires three consecutive small terms so
-    an incidental zero term (integer a passing through -s) cannot end the
-    sum early.  A sum past 2**500 is divided by 2**500 together with the
-    term and zm, and e counts those shifts, so no partial sum overflows;
-    below that e = 0 and m is the plain sum.
+    summed from term_n = term_{n-1} * (a+n-1) / ((b+n-1) n) * z, and zm from
+    n term_n, for z >= 0.  The sum stops at the first term_n that is within
+    1e-16 of the sum and bounds the tail after it: every later term has
+    its sign, because a + n > 0 and b + n > 0 or term_n is 0 (integer
+    a <= 0 ends the series), and every later ratio is at most 1/2, because
+    it is at most z (a+n) / ((b+n)(n+1)) for a >= b and z / (n+1) for
+    a < b.  A small term before the peak (tiny a) or in an alternating run
+    (negative a) does not end the sum.  A sum past 2**500 is divided by
+    2**500 together with the term and zm, and e counts those shifts, so no
+    partial sum overflows; below that e = 0 and m is the plain sum.
     """
     term = 1.0
     total = 1.0
     slope = 0.0
     exponent = 0
-    quiet = 0
     for s in range(_SERIES_TERM_CAP):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
@@ -140,12 +142,14 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
         if not -2.0**500 < total < 2.0**500:
             total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
             exponent += 500
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            quiet += 1
-            if quiet >= _SERIES_QUIET_RUN:
-                return total, slope, exponent
-        else:
-            quiet = 0
+        # Where the sum is positive the first test decides the size test
+        # alone, and the abs calls run only once it passes.
+        if ((term <= _SERIES_RTOL * total or total < 0.0)
+                and abs(term) <= _SERIES_RTOL * abs(total)
+                and (term == 0.0 or (a + n > 0.0 and b + n > 0.0 and (
+                    z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
+                    else z <= 0.5 * (n + 1.0))))):
+            return total, slope, exponent
     raise NonConvergenceError(
         f"series for M({a}, {b}, {z}) did not settle within {_SERIES_TERM_CAP} terms"
     )
@@ -215,5 +219,22 @@ def e_n(n: int, z: float) -> float:
 
 
 def f_n(n: int, z: float) -> float:
-    """Odd combination [i^n erfc(-z) - i^n erfc(z)] / 2."""
+    """Odd combination [i^n erfc(-z) - i^n erfc(z)] / 2.
+
+    The difference cancels at small z, to about eps / (z sqrt(2n)) of the
+    result, and is 0 below z = 1e-16.  Where z sqrt(2n+1) < 1/2 the odd
+    part of the power series of i^n erfc (DLMF 7.18),
+    F_n(z) = sum_{k odd} z^k / (2^(n-k) k! Gamma(1 + (n-k)/2)), is summed
+    instead, from term_{k+2} = term_k 2 (n-k) z^2 / ((k+1)(k+2)): each term
+    is below half the last, and for odd n the series ends at k = n.  Past
+    n = 342, where Gamma((n+1)/2) overflows, the result underflows to 0.
+    """
+    if abs(z) * math.sqrt(2.0 * n + 1.0) < 0.5:
+        term = math.ldexp(z, 1 - n) / math.gamma(0.5 * n + 0.5) if n <= 342 else 0.0
+        total, k = term, 1
+        while abs(term) > _SERIES_RTOL * abs(total):
+            term *= 2.0 * (n - k) * z * z / ((k + 1) * (k + 2))
+            total += term
+            k += 2
+        return total
     return 0.5 * (iterated_erfc(n, -z) - iterated_erfc(n, z))

@@ -36,10 +36,13 @@ takes logs: in y = log x, with z = x^2, it finds the root of
 a relative residual of the front equation.  log(C g) is a sum of logs of
 the data and log D~ is summed from ``log_kummer_m_scaled`` (the log of
 e^-z M, of size log z) of its (one or two) positive terms, so G is finite
-for every y.  G is concave and decreasing, so Newton's method from right
-of the root converges monotonically, and stops once |G| is within its
-rounding (at least 1e-12).  One final evaluation at the root gives the
-coefficients by Cramer's rule, A = g g_o / D and B = -g g_e / D.
+for every y.  G is concave and decreasing, so Newton's method converges
+monotonically after its first step.  It starts at the root of a model of G
+that replaces each log of e^-z M by its leading term for large z, which
+sums no series, and its last step is the one that the quadratic rate
+predicts to be below eps, or the one from |G| within its rounding (at least
+1e-12).  The evaluation that gives the coefficients by Cramer's rule,
+A = g g_o / D and B = -g g_e / D, also gives G there, and confirms the root.
 
 The field is not summed from that formula, whose two terms grow like
 eta^alpha and cancel in the melt: ``SimilaritySolution`` walks the profile
@@ -84,9 +87,13 @@ __all__ = [
 ]
 
 # Settings of solve_front: the least |G| accepted at the root (G is a
-# relative residual of the front equation) and the iteration cap.
+# relative residual of the front equation), the iteration cap, and the
+# |G| of the series-free model below which its last Newton step is taken
+# (the model lies further than that from G).
 _RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 100
+_MODEL_TOL = 0.1
+_EPS = sys.float_info.epsilon
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
@@ -198,10 +205,13 @@ def _times_exp(g: float, log_g: float, x: float) -> float:
 
 
 def _front_g(problem: ProblemSpec):
-    """The closure ``front(y, coefficients=False)`` of y = log x, the one
-    place where D is formed: G(y) = log(C g) - z - log D~(e^y) - (alpha+1) y
-    with z = x^2, G'(y) and the rounding of G (4 eps times its terms' sizes,
-    at least 1e-12) from the series D needs, or G, A and B from both.
+    """Closures ``front(y, coefficients=False)`` and ``start()`` of y = log x
+    that share the logs of the data, the one place where D is formed.
+    ``front`` returns G(y) = log(C g) - z - log D~(e^y) - (alpha+1) y with
+    z = x^2, G'(y) and the rounding of G (4 eps times its terms' sizes, at
+    least 1e-12) from the series D needs, and with ``coefficients`` also A
+    and B from both series.  ``start`` returns the root of a model of G that
+    sums no series.
 
     D~ = e^-z D = p x M~_o - q kappa M~_e, M~ = e^-z M, with logs L and z L'
     from ``log_kummer_m_scaled``.  log D~ = t + log1p(w) from the logs t_o,
@@ -212,6 +222,14 @@ def _front_g(problem: ProblemSpec):
     B = -g g_e / D = -g e^(L_e - log D~) (``_times_exp``).  So kappa enters
     through log D~ only, A = g exactly where q = 0, and a coefficient beyond
     double range is inf.
+
+    The model takes L = max(0, lgamma(b) - lgamma(a) + (a-b) log z), the
+    leading term of DLMF 13.7.2, where a > b, and L = 0 elsewhere: for
+    a >= b, M >= e^z and L >= 0.  Its log D~ is a log-sum of convex
+    functions of y, so the model is concave, and Newton's method from
+    log z = log(max(1, log(C g) - max(log p, log(|q| kappa)))), right of
+    its root (there z alone exceeds log(C g) - log D~ - (alpha+1) y),
+    descends to the root monotonically.
     """
     alpha, d = problem.alpha, problem.d
     a = alpha / 2.0
@@ -223,23 +241,48 @@ def _front_g(problem: ProblemSpec):
     log_p = math.log(p) if p else -math.inf
     log_qk = math.log(-q) + log_kappa if q else -math.inf
 
-    def front(y: float, coefficients: bool = False):
-        z = math.exp(2.0 * y)
-        lm_o, zm_o = log_kummer_m_scaled(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
-        lm_e, zm_e = log_kummer_m_scaled(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
+    def residual(y, z, lm_o, zm_o, lm_e, zm_e):
+        """G, G' and log D~ from the scaled logs of both series."""
         (hi, d_hi), (lo, d_lo) = sorted(
             ((log_p + y + lm_o, 1.0 + 2.0 * zm_o), (log_qk + lm_e, 2.0 * zm_e)), reverse=True)
         w = math.exp(lo - hi)
         log_d = hi + math.log1p(w)
         value = log_cg - (log_d + z) - (alpha + 1.0) * y
-        slope = -2.0 * z - (d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0)
-        rounding = max(_RESIDUAL_TOL, 4.0 * sys.float_info.epsilon
+        return value, -2.0 * z - (d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0), log_d
+
+    def front(y: float, coefficients: bool = False):
+        z = math.exp(2.0 * y)
+        lm_o, zm_o = log_kummer_m_scaled(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
+        lm_e, zm_e = log_kummer_m_scaled(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
+        value, slope, log_d = residual(y, z, lm_o, zm_o, lm_e, zm_e)
+        rounding = max(_RESIDUAL_TOL, 4.0 * _EPS
                        * (abs(log_cg) + z + abs(log_d) + (alpha + 1.0) * abs(y)))
         if not coefficients:
             return value, slope, rounding
-        return value, _times_exp(g, log_g, y + lm_o - log_d), -_times_exp(g, log_g, lm_e - log_d)
+        return (value, slope, rounding,
+                _times_exp(g, log_g, y + lm_o - log_d), -_times_exp(g, log_g, lm_e - log_d))
 
-    return front
+    # (lgamma(b) - lgamma(a), a - b) of the odd and the even series.
+    leading_o = (math.lgamma(1.5) - math.lgamma(a + 1.0), a - 0.5)
+    leading_e = (math.lgamma(0.5) - math.lgamma(a + 0.5), a)
+
+    def model(leading, y):
+        """(L, z L') of the model of one series at log z = 2 y."""
+        value = leading[0] + 2.0 * leading[1] * y
+        return (value, leading[1]) if leading[1] > 0.0 and value > 0.0 else (0.0, 0.0)
+
+    def start() -> float:
+        y = 0.5 * math.log(max(1.0, log_cg - max(log_p, log_qk)))
+        for _ in range(_MAX_ITERATIONS):
+            value, slope, _ = residual(y, math.exp(2.0 * y), *model(leading_o, y),
+                                       *model(leading_e, y))
+            y -= value / slope
+            if abs(value) <= _MODEL_TOL:
+                return y
+        raise NonConvergenceError(f"the model front equation did not converge in "
+                                  f"{_MAX_ITERATIONS} iterations ({problem!r})")
+
+    return front, start
 
 
 def _front_y(x: float) -> float:
@@ -253,7 +296,7 @@ def front_log_residual(problem: ProblemSpec, x: float) -> float:
     """G(log x) = log(C g / D(x)) - (alpha+1) log x, the log of the front
     equation's two sides' ratio that ``solve_front`` zeroes: finite,
     positive left of nu and negative right of it."""
-    return _front_g(problem)(_front_y(x))[0]
+    return _front_g(problem)[0](_front_y(x))[0]
 
 
 def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -426,33 +469,40 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
 
     D is a power series in x with non-negative coefficients, so log D(e^y)
     is convex and G(y) = log(C g / D(e^y)) - (alpha+1) y concave and
-    decreasing in y = log x.  A tangent of G lies above it, so Newton's
-    method started right of the root stays right of it and converges
-    monotonically.  From x = 1, x is doubled while G > 0; Newton steps with
-    the slope that came with the series (``_front_g``) then run until |G| is
-    within its rounding (at least 1e-12: G is a relative residual, so one
-    stop serves every scale of nu), and take that last step too.
-    ``SolverReport.iterations`` counts the Newton steps, and ``residual``
-    is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
+    decreasing in y = log x.  A tangent of G lies above it, so a Newton step
+    from left of the root lands right of it, and from there Newton's method
+    converges monotonically.  The steps start at the root of a model of G
+    that sums no series (``_front_g``), with no search for a point right of
+    the root, and use the slope that comes with the series.  The last step
+    is the one from |G| within its rounding (at least 1e-12: G is a
+    relative residual, so one stop serves every scale of nu), or the one
+    after which the quadratic rate predicts a step below eps: the next |G|,
+    |G|**3 / G_prev**2, below eps |G'|.  The coefficients are evaluated
+    where it lands, and that evaluation gives G again: the solve ends only
+    if this |G| is within its rounding, and steps on otherwise, so the
+    returned nu meets the stop.  ``SolverReport.iterations`` counts the
+    Newton steps, and ``residual`` is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
     """
-    front = _front_g(problem)
-    x, g = 0.5, math.inf
-    while g > 0.0:
-        x *= 2.0
-        y = math.log(x)
-        g, slope, rounding = front(y)
+    front, start = _front_g(problem)
+    y = start()
+    g, slope, rounding = front(y)
+    previous = 0.0
     for iterations in range(1, _MAX_ITERATIONS + 1):
         y -= g / slope
-        if abs(g) <= rounding:
-            break
-        g, slope, rounding = front(y)
+        last = abs(g) <= rounding or abs(g) ** 3 <= -_EPS * slope * previous**2
+        previous = g
+        if last:
+            g, slope, rounding, coeff_even, coeff_odd = front(y, coefficients=True)
+            if abs(g) <= rounding:
+                break
+        else:
+            g, slope, rounding = front(y)
     else:
         raise NonConvergenceError(f"front-coefficient iteration did not converge in "
                                   f"{_MAX_ITERATIONS} iterations (last log residual {g})")
     nu = math.exp(y)
     if nu < sys.float_info.min:
         raise BracketNotFoundError(f"the front coefficient exp({y}) underflows double precision")
-    g, coeff_even, coeff_odd = front(y, coefficients=True)
     if math.isinf(coeff_odd) or math.isinf(coeff_even):
         raise OverflowError(
             f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow "
@@ -497,7 +547,8 @@ def front_log_residual_integer_alpha(problem: ProblemSpec, x: float) -> float:
     ``front_log_residual`` for integer alpha = n in repeated-erfc form, with
     log C summed from logs of the data.  Kummer's transformation
     M(a, b, z) = e^z M(b-a, b, -z) makes g_e and g_o e^(x^2) times even and
-    odd, which grow only like x^n.  F_n cancels at small x, to eps / x of odd.
+    odd, which grow only like x^n.  At small x, F_n is its Taylor series
+    (``f_n``), so the twin holds down to the least nu.
     """
     y = _front_y(x)
     n, log_d = problem.alpha, math.log(problem.d)

@@ -117,6 +117,87 @@ def test_log_form_against_arbitrary_precision(monkeypatch):
     assert 0 < sum(z > 30.0 for z in series_calls) < above
 
 
+def _log_uniform(r, lo, hi):
+    return math.exp(r.uniform(math.log(lo), math.log(hi)))
+
+
+def test_series_stop_against_arbitrary_precision():
+    # The series stops at the first small term whose tail is below it.  At
+    # a, b > 0 every term is positive; at negative a the terms alternate
+    # until a + n > 0, and a small term there must not end the sum.
+    mp = pytest.importorskip("mpmath")
+    r = random.Random(4)
+    cases = []
+    for _ in range(150):
+        b = r.choice(B_GRID)
+        cases += [
+            # the solve's series: a in [1e-3, 26], z in [0, 30]
+            (_log_uniform(r, 1e-3, 26.0), b, _log_uniform(r, 1e-6, 30.0)),
+            (b * _log_uniform(r, 1e-3, 1.0), b, _log_uniform(r, 1e-6, 30.0)),  # a < b
+            # negative a at z >= 0, as in criterion C3, and integer a <= 0,
+            # whose series ends at an exact zero term
+            (-_log_uniform(r, 0.05, 10.0), b, _log_uniform(r, 1e-6, 9.0)),
+            (-float(r.randint(0, 10)), b, _log_uniform(r, 1e-6, 9.0)),
+        ]
+    cases += [(a, 0.5, 0.0) for a in (1e-3, 0.7, -2.5, -3.0)]
+    with mp.workdps(40):
+        for a, b, z in cases:
+            ref = mp.hyp1f1(a, b, z)
+            if a > 0.0:
+                # every term positive: relative to M itself
+                assert abs(kummer_m(a, b, z) - ref) <= 1e-14 * ref, (a, b, z)
+                scaled, zm = log_kummer_m_scaled(a, b, z)
+                ref_log = mp.log(ref)
+                assert abs(scaled + z - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), (a, b, z)
+                ref_zm = z * mp.mpf(a) / b * mp.hyp1f1(mp.mpf(a) + 1, b + 1, z) / ref
+                assert abs(zm + z - ref_zm) <= 1e-13 * max(ref_zm, 1e-300), (a, b, z)
+            else:
+                # the tolerance of negative a at positive z above
+                assert abs(kummer_m(a, b, z) - ref) <= 5e-12 * max(1.0, abs(ref)), (a, b, z)
+
+
+def test_series_stop_waits_for_the_peak():
+    # At tiny a the first terms are below 1e-16 of the sum while they still
+    # grow: three such terms in a row ended the sum at 1.0 here.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for a, b, z in ((1e-20, 0.5, 30.0), (1e-18, 1.5, 20.0), (-1e-20, 0.5, 30.0)):
+            ref = float(mp.hyp1f1(a, b, z))
+            assert kummer_m(a, b, z) == pytest.approx(ref, rel=1e-15, abs=0.0), (a, b, z)
+    assert kummer_m(1e-20, 0.5, 30.0) > 1.0 + 3e-8
+
+
+def test_terminating_series_stops_at_its_zero_term(monkeypatch):
+    # M(-3, 1/2, z) = 1 - 6z + 4z^2 - 8z^3/15: term 4 is exactly 0, and the
+    # sum ends there, within a cap of 5 terms.
+    monkeypatch.setattr(kummer_module, "_SERIES_TERM_CAP", 5)
+    for z in (0.0, 0.3, 2.0, 7.5):
+        poly = 1.0 - 6.0 * z + 4.0 * z * z - 8.0 * z**3 / 15.0
+        scale = 1.0 + 6.0 * z + 4.0 * z * z + 8.0 * z**3 / 15.0
+        assert abs(kummer_m(-3.0, 0.5, z) - poly) <= 4e-16 * scale, z
+    # reflected: M(3/2, 1/2, -z) = e^-z M(-1, 1/2, z) = e^-z (1 - 2z)
+    assert kummer_m(1.5, 0.5, -2.0) == pytest.approx(math.exp(-2.0) * -3.0, rel=1e-15)
+
+
+def test_odd_combination_at_small_argument():
+    # The difference of the two repeated erfc values cancelled to 0 below
+    # z = 1e-16 and lost digits like eps / z above; the Taylor series in z
+    # holds to the last digits.  Reference: the Kummer form
+    # z M(1/2 - n/2, 3/2, -z^2) / (2^(n-1) Gamma(n/2 + 1/2)).
+    mp = pytest.importorskip("mpmath")
+    r = random.Random(8)
+    with mp.workdps(40):
+        for _ in range(300):
+            n = r.randint(0, 50)
+            z = _log_uniform(r, 1e-250, 0.5 / math.sqrt(2.0 * n + 1.0))
+            zz = mp.mpf(z)
+            ref = (zz * mp.hyp1f1(mp.mpf(1 - n) / 2, 1.5, -zz * zz)
+                   / (mp.mpf(2) ** (n - 1) * mp.gamma(mp.mpf(n + 1) / 2)))
+            assert f_n(n, z) == pytest.approx(float(ref), rel=1e-15, abs=0.0), (n, z)
+            assert f_n(n, -z) == -f_n(n, z)
+    assert f_n(0, 1e-20) == pytest.approx(2e-20 / math.sqrt(math.pi), rel=1e-15)
+
+
 def test_log_form_domain():
     assert log_kummer_m_scaled(0.7, 1.5, 0.0) == (0.0, 0.0)
     for args in [(0.0, 0.5, 1.0), (0.7, 0.0, 1.0), (0.7, 0.5, -1.0),

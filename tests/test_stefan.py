@@ -362,14 +362,26 @@ def test_series_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(stefan, "log_kummer_m_scaled", counting)
     cases = [
-        (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 18),
-        (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 9),
-        (ProblemSpec(alpha=2.0, boundary=Flux(c=1.0)), 8),
+        (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 8),
+        (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 5),
+        (ProblemSpec(alpha=2.0, boundary=Flux(c=1.0)), 6),
     ]
     for p, budget in cases:
         calls.clear()
         solve_front(p)
         assert len(calls) <= budget, (p, len(calls))
+
+
+def test_returned_root_meets_the_stop_on_wide_sample():
+    # The coefficient evaluation at the returned nu repeats G there, and the
+    # solve returns only once that |G| is within its rounding.
+    import stefan_kummer.stefan as stefan
+
+    for p, _ in _wide_sample(600):
+        sol = solve_front(p)
+        g, _, rounding = stefan._front_g(p)[0](math.log(sol.nu))
+        assert abs(math.log1p(sol.solver_report.residual)) <= rounding, p
+        assert abs(g) <= rounding, p
 
 
 # Wide ranges: alpha in [0, 50], boundary data log-uniform in [1e-9, 1e9],
@@ -924,13 +936,13 @@ def test_log_residual_matches_twin_at_every_solver_iterate(monkeypatch):
     real = stefan._front_g
 
     def recording(problem):
-        front = real(problem)
+        front, start = real(problem)
 
         def wrapped(y, coefficients=False):
             visited.append(y)
             return front(y, coefficients)
 
-        return wrapped
+        return wrapped, start
 
     monkeypatch.setattr(stefan, "_front_g", recording)
     r = random.Random(5)
@@ -952,6 +964,30 @@ def test_log_residual_matches_twin_at_every_solver_iterate(monkeypatch):
             scale = 1.0 + abs(g) + x * x + (p.alpha + 1.0) * abs(math.log(x)) + 1.0 / x
             assert abs(g - twin) <= 16.0 * eps * scale, (p, x, g, twin)
     assert max(nus) > 77.0 and min(nus) < 1e-6
+
+
+@pytest.mark.parametrize("p", [
+    ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e-34)),
+    ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e-30)),
+    ProblemSpec(alpha=1.0, boundary=Temperature(t0=1e-40)),
+    ProblemSpec(alpha=3.0, boundary=Flux(c=1e-80)),
+    ProblemSpec(alpha=0.0, boundary=Convective(h0=1e-20, t_inf=1e-20)),
+], ids=["t0-1e-34", "t0-1e-30", "alpha1-t0-1e-40", "alpha3-c-1e-80", "convective-1e-20"])
+def test_integer_alpha_twins_at_tiny_front_coefficient(p):
+    # F_n cancelled to 0 below x = 1e-16: at t0 1e-34 (nu 7.07e-18) the
+    # twin raised a bare "math domain error" and the field ZeroDivisionError,
+    # and at t0 1e-30 the twin read -0.043 where G is 0.  The bounds are
+    # those of the twin tests above without their 1/x cancellation term.
+    sol = solve_front(p)
+    x, eps = sol.nu, sys.float_info.epsilon
+    assert x < 1e-13
+    g, twin = front_log_residual(p, x), front_log_residual_integer_alpha(p, x)
+    scale = 1.0 + abs(g) + x * x + (p.alpha + 1.0) * abs(math.log(x))
+    assert abs(g - twin) <= 16.0 * eps * scale, (g, twin)
+    face = sol.temperature(0.0, 1.0)
+    for frac in (0.0, 0.3, 0.7, 0.99):
+        x = frac * sol.front_position(1.0)
+        assert abs(temperature_integer_alpha(sol, x, 1.0) - sol.temperature(x, 1.0)) <= 1e-12 * face
 
 
 @pytest.mark.parametrize("n", [268, 342])

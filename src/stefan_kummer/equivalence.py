@@ -26,6 +26,7 @@ from .stefan import (
     Flux,
     ProblemSpec,
     Temperature,
+    _require_family,
     solve_front,
 )
 
@@ -39,6 +40,9 @@ __all__ = [
     "equivalence_report",
 ]
 
+# The grid of equivalence_report: _NX points at each of _NT times in (lo, hi].
+_NX, _NT, _T_SPAN = 20, 20, (0.1, 2.0)
+
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -47,12 +51,6 @@ class EquivalenceReport:
     nu_source: float
     nu_target: float
     max_temperature_gap: float
-
-
-def _require_family(problem: ProblemSpec, family, op: str) -> None:
-    if not isinstance(problem.boundary, family):
-        raise ValueError(f"{op} requires a {family.__name__} source, got "
-                         f"{type(problem.boundary).__name__}")
 
 
 def _solved_face(problem: ProblemSpec, family, op: str) -> tuple[float, float]:
@@ -117,25 +115,16 @@ def flux_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
     return _to_convective(problem, t_inf, Flux, "flux_to_convective")
 
 
-def equivalence_report(
-    source: ProblemSpec,
-    target: ProblemSpec,
-    nx: int = 20,
-    nt: int = 20,
-    t_span: tuple[float, float] = (0.1, 2.0),
-) -> EquivalenceReport:
+def equivalence_report(source: ProblemSpec, target: ProblemSpec) -> EquivalenceReport:
     """Solve both problems and measure the largest temperature mismatch on
-    an nx-by-nt grid spanning the melted region of the source over the
-    times t_span = (lo, hi), 0 < lo < hi.  An empty grid raises ValueError."""
-    t_lo, t_hi = t_span
-    if nx < 1 or nt < 1:
-        raise ValueError(f"the comparison grid needs nx >= 1 and nt >= 1, got {nx} x {nt}")
-    if not (0.0 < t_lo < t_hi < math.inf):
-        raise ValueError(f"t_span must satisfy 0 < lo < hi < inf, got {t_span}")
+    a 20-by-20 grid spanning the melted region of the source over the
+    times (0.1, 2]: at t_i = 0.1 + 1.9 i / 20 (i = 1..20) the points
+    x_j = s(t_i) (j + 1/2) / 20 (j = 0..19) of the source front s."""
+    t_lo, t_hi = _T_SPAN
     sol_s = solve_front(source)
     sol_t = solve_front(target)
-    t = t_lo + (t_hi - t_lo) * (np.arange(nt) + 1.0) / nt
-    x = sol_s.front_position(t)[:, None] * (np.arange(nx) + 0.5) / nx
+    t = t_lo + (t_hi - t_lo) * (np.arange(_NT) + 1.0) / _NT
+    x = sol_s.front_position(t)[:, None] * (np.arange(_NX) + 0.5) / _NX
     t = t[:, None]
     gap = np.abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)).max()
     return EquivalenceReport(

@@ -17,6 +17,7 @@ from .stefan import (
     Convective,
     ProblemSpec,
     Temperature,
+    _require_family,
     solve_front,
 )
 
@@ -31,23 +32,17 @@ class LimitStudy:
     nu_infinity: float
 
 
-def _require_convective(base: ProblemSpec) -> Convective:
-    if not isinstance(base.boundary, Convective):
-        raise ValueError("limit study requires a convective base problem")
-    return base.boundary
-
-
 def limit_problem(base: ProblemSpec) -> ProblemSpec:
     """Temperature-family problem reached in the h0 -> infinity limit:
     the face datum is the bulk coefficient of the base problem."""
-    boundary = _require_convective(base)
+    boundary = _require_family(base, Convective, "limit_problem")
     return replace(base, boundary=Temperature(t0=boundary.t_inf))
 
 
 def run_limit_study(base: ProblemSpec, h0_grid: Sequence[float]) -> LimitStudy:
     """Front coefficients along an ascending h0 grid plus the limit value.
     An empty grid, or an h0 that ``Convective`` rejects, raises ValueError."""
-    boundary = _require_convective(base)
+    boundary = _require_family(base, Convective, "run_limit_study")
     grid = tuple(float(h) for h in h0_grid)
     if not grid:
         raise ValueError("h0_grid must be nonempty")
@@ -71,7 +66,7 @@ def field_convergence_gap(
     """Largest deviation of the finite-h0 temperature from the limit
     temperature over the sample grid xs x ts.  An empty grid, or an h0
     that ``Convective`` rejects, raises ValueError."""
-    boundary = _require_convective(base)
+    boundary = _require_family(base, Convective, "field_convergence_gap")
     x = np.asarray(xs, dtype=float)
     t = np.asarray(ts, dtype=float)[:, None]
     if not (x.size and t.size):

@@ -191,6 +191,14 @@ class ProblemSpec:
             raise ValueError(f"unsupported boundary condition {self.boundary!r}")
 
 
+def _require_family(problem: ProblemSpec, family: type, op: str) -> Boundary:
+    """The boundary of ``problem``, which ``op`` needs to be a ``family``."""
+    if not isinstance(problem.boundary, family):
+        raise ValueError(f"{op} requires a {family.__name__} problem, got "
+                         f"{type(problem.boundary).__name__}")
+    return problem.boundary
+
+
 @dataclass(frozen=True)
 class SolverReport:
     iterations: int

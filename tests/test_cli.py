@@ -222,6 +222,19 @@ def test_sweep_unsorted_values_exits_2():
     assert run(["sweep", "--vary", "h0", "--values", "1,0.5", "--tinf", "1"]) == 2
 
 
+@pytest.mark.parametrize("args,cause", [
+    (["sweep", "--vary", "h0", "--tinf", "1"], "--values"),
+    (["sweep", "--vary", "h0", "--values", "1,x", "--tinf", "1"], "bad --values entry"),
+    (["sweep", "--values", "1,2", *FIG9_ARGS], "--vary"),
+    (["equiv", *FIG9_ARGS, "--to", "convective"], "already convective"),
+    (["solve", "--h0", "1", "--c", "2"], "got --h0 --c"),
+])
+def test_usage_error_names_its_cause(capsys, args, cause):
+    assert run(args) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "usage" and cause in record["detail"]
+
+
 def test_sweep_missing_fixed_datum_exits_2():
     assert run(["sweep", "--vary", "h0", "--values", "1,2"]) == 2
 
@@ -503,6 +516,13 @@ def test_malformed_config_exits_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(tmp_path / "missing.cfg"))
+    assert run(["solve", "--t0", "1"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "usage" and "cannot read config file" in record["detail"]
+
+
 def test_config_beats_default_and_flag_beats_config(tmp_path, monkeypatch):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("nx=7\nnt=3\n")
@@ -547,6 +567,16 @@ def test_config_turns_include_limit_on(tmp_path, monkeypatch):
     assert run(["sweep", "--vary", "h0", "--values", "1,10", "--alpha", "0.4",
                 "--tinf", "1", "--out", str(out)]) == 0
     assert read_csv(out)[0] == ["param", "nu", "nu_infinity"]
+
+
+def test_config_turns_include_limit_off(tmp_path, monkeypatch):
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("include_limit = off\n")
+    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--vary", "h0", "--values", "1,10", "--alpha", "0.4",
+                "--tinf", "1", "--out", str(out)]) == 0
+    assert read_csv(out)[0] == ["param", "nu"]
 
 
 @pytest.mark.parametrize("command,defaults", [

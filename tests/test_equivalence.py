@@ -162,11 +162,12 @@ def test_maps_read_the_solved_face_values():
 
 
 def test_equivalence_report_matches_pointwise_reference():
-    # The report evaluates its grid in one array call per solution; the
-    # reference loops over the points with the float evaluators.
+    # The report evaluates its fixed grid (20 points at each of 20 times
+    # in (0.1, 2]) in one array call per solution; the reference loops over
+    # the points with the float evaluators.
     target = convective_to_flux(FIG9)
-    nx, nt, t_lo, t_hi = 20, 5, 0.3, 4.0
-    rep = equivalence_report(FIG9, target, nx=nx, nt=nt, t_span=(t_lo, t_hi))
+    nx, nt, t_lo, t_hi = 20, 20, 0.1, 2.0
+    rep = equivalence_report(FIG9, target)
     sol_s, sol_t = solve_front(FIG9), solve_front(target)
     gap = scale = 0.0
     for i in range(nt):
@@ -177,18 +178,6 @@ def test_equivalence_report_matches_pointwise_reference():
             gap = max(gap, abs(sol_s.temperature(x, t) - sol_t.temperature(x, t)))
             scale = max(scale, abs(sol_s.temperature(x, t)))
     assert abs(rep.max_temperature_gap - gap) <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"nx": 0}, {"nt": 0}, {"nx": -3},
-    {"t_span": (0.0, 1.0)}, {"t_span": (1.0, 1.0)}, {"t_span": (2.0, 1.0)},
-    {"t_span": (0.1, math.inf)}, {"t_span": (math.nan, 1.0)},
-])
-def test_equivalence_report_rejects_empty_grid(kwargs):
-    # nx = 0 reported a gap of 0.0 even between problems that differ.
-    other = ProblemSpec(alpha=0.4, boundary=Temperature(t0=5.0))
-    with pytest.raises(ValueError):
-        equivalence_report(FIG9, other, **kwargs)
 
 
 def test_package_exports_are_in_their_modules_all():

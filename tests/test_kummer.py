@@ -391,6 +391,13 @@ def test_iterated_erfc_vs_mpmath_at_positive_argument():
                 assert iterated_erfc(n, z) == pytest.approx(float(ref), rel=1e-14, abs=0.0), (n, z)
 
 
+@pytest.mark.parametrize("call", [lambda: erfc(math.nan), lambda: iterated_erfc(2, math.inf)],
+                         ids=["erfc-nan", "iterated-erfc-inf"])
+def test_erfc_rejects_nonfinite_argument(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 def test_iterated_erfc_rejects_negative_order():
     with pytest.raises(ValueError):
         iterated_erfc(-1, 0.3)

@@ -110,11 +110,11 @@ def test_grid_validation():
 
 def test_non_convective_base_rejected():
     temp = ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="run_limit_study requires a Convective"):
         run_limit_study(temp, (1.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limit_problem requires a Convective"):
         limit_problem(temp)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field_convergence_gap requires a Convective"):
         field_convergence_gap(temp, 1.0, (0.1,), (1.0,))
 
 

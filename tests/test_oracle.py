@@ -38,8 +38,9 @@ def test_config_validation():
             OracleConfig(domain_length=1.0, t_end=bad)
     with pytest.raises(ValueError):
         OracleConfig(domain_length=1.0, t_end=1.0, nx=10)
-    with pytest.raises(ValueError):
-        OracleConfig(domain_length=1.0, t_end=1.0, dt_safety=0.7)
+    # A float nx passed, and run_oracle failed with a bare TypeError.
+    with pytest.raises(ValueError, match="nx"):
+        OracleConfig(domain_length=1.0, t_end=1.0, nx=100.0)
     with pytest.raises(ValueError):
         OracleConfig(domain_length=1.0, t_end=0.0)
     with pytest.raises(ValueError):
@@ -184,9 +185,9 @@ def test_comparison_report_fields():
 
 
 def test_cell_melts_fully_within_one_step():
-    # A coarse cold start with the largest step: the first step melts more
-    # than one cell from solid, so Newton has to grow the melted block
-    # several times within that step.
+    # A coarse cold start: the first step melts more than one cell from
+    # solid, so Newton has to grow the melted block several times within
+    # that step.
     sol = solve_front(FIG9)
     cfg = OracleConfig(
         domain_length=4.0 * sol.front_position(0.25),
@@ -194,7 +195,6 @@ def test_cell_melts_fully_within_one_step():
         nx=50,
         cold_start=True,
         start_fraction=0.05,
-        dt_safety=0.5,
     )
     result = run_oracle(FIG9, cfg)
     dx = cfg.domain_length / cfg.nx
@@ -220,7 +220,7 @@ def test_every_step_recorded_and_snapshots_on_fixed_times():
 
 
 def test_step_count_linear_in_nx():
-    # The step follows the front, about dt_safety cells per step, so
+    # The step follows the front, about 0.2 cells per step, so
     # doubling nx doubles the steps; an nx**2 schedule would quadruple them.
     steps = [run_oracle(FIG9, short_config(FIG9, nx=nx)).n_steps for nx in (200, 400)]
     assert steps[1] <= 2.5 * steps[0]

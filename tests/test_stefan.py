@@ -65,6 +65,11 @@ def test_negative_exponent_rejected():
         ProblemSpec(alpha=-0.1, boundary=Temperature(t0=1.0))
 
 
+def test_unknown_boundary_rejected():
+    with pytest.raises(ValueError, match="unsupported boundary"):
+        ProblemSpec(alpha=1.0, boundary=object())
+
+
 def test_nonpositive_material_data_rejected():
     for kwargs in ({"d": 0.0}, {"k": -1.0}, {"gamma": 0.0}):
         with pytest.raises(ValueError):

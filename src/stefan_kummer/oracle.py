@@ -30,12 +30,21 @@ entry, so each Newton step is one tridiagonal (Thomas) solve on the
 melted block 0..m-1 plus a forward substitution for the front cell m.
 The block matrix is an M-matrix, so cells melted at the start of a step
 stay melted and the block only grows: a Newton step that melts cell m
-adds it to the block, and the iteration stops when a step leaves m
-unchanged, which makes the step exact up to round-off.  A step may melt
-any number of cells: nothing but the front reaching the domain end, which
-raises RuntimeError, stops it.
-Convective and temperature faces are implicit at the new time; a flux
-face lets in the exact time integral of its datum over the step.
+adds its row, at the temperature its heat had at the start of the step
+((h_m - lam_m) / (k dx / d) < 0), and the iteration stops when a step
+leaves m unchanged, which makes the step exact up to round-off.  A step
+may melt any number of cells: nothing but the front reaching the domain
+end, which raises RuntimeError, stops it.  Convective and temperature
+faces are implicit at the new time; a flux face lets in the exact time
+integral of its datum over the step.
+
+The state is the block temperatures u_i and the front cell's heat h_m, as
+Python lists (scalar loops run faster on lists than on array elements).
+In units of rdt = k dt / dx, with c1 = (k dx / d) / rdt and c = c1 + 2,
+row i reads c u_i - u_{i-1} - u_{i+1} = c1 u_i_prev; the sweeps
+w_i = 1 / (c - w_{i-1}), v_i = (c1 u_i_prev + v_{i-1}) w_i and
+u_i = v_i + w_i u_{i+1} take 7 float operations per cell.  The face inflow
+a - b u_0 is a ghost row w_{-1} = 1 - b / rdt, v_{-1} = a / rdt.
 
 The step is dt = 2 * _DT_SAFETY * dx * t / max(s, dx) for the current
 oracle front s.  As s grows like sqrt(t), the front then crosses about
@@ -151,10 +160,6 @@ def _face_inflow(problem: ProblemSpec, dx: float):
     return inflow
 
 
-def _temperature(H: np.ndarray, lam: np.ndarray, sens_scale: float) -> np.ndarray:
-    return np.maximum(H - lam, 0.0) * sens_scale
-
-
 def _check_room(m: int, nx: int, t: float) -> None:
     if m >= nx - 2:
         raise RuntimeError(f"front reached the domain end at t={t}; enlarge domain_length")
@@ -167,83 +172,76 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     nx = cfg.nx
     dx = cfg.domain_length / nx
     x_centers = (np.arange(nx) + 0.5) * dx
-    lam_arr = problem.gamma * x_centers**problem.alpha * dx
     heat_capacity = problem.k * dx / problem.d  # per area
     t0 = cfg.start_fraction * cfg.t_end
 
-    # Heat contents as Python lists: the Thomas sweeps below are scalar
-    # loops, which run faster on lists than on array elements.
-    lam = lam_arr.tolist()
-    H = [0.0] * nx
+    # u past the block and w are scratch; v_i overwrites u_i in the sweep.
+    lam = (problem.gamma * x_centers**problem.alpha * dx).tolist()
+    u = [0.0] * nx
+    w = [0.0] * nx
+    h_m = 0.0
     m = 0  # melted block 0..m-1, cell m partially melted, solid past it
     if not cfg.cold_start:
         sol = solve_front(problem)
         s0 = sol.front_position(t0)
         m = int(s0 / dx)  # cells with right edge below s0
         _check_room(m, nx, t0)
-        u0 = sol.temperature(x_centers[:m], t0)
-        H[:m] = (lam_arr[:m] + heat_capacity * u0).tolist()
-        H[m] = (s0 / dx - m) * lam[m]
+        u[:m] = sol.temperature(x_centers[:m], t0).tolist()
+        h_m = (s0 / dx - m) * lam[m]
+
+    def energy() -> float:
+        return math.fsum(lam[:m]) + heat_capacity * math.fsum(u[:m]) + h_m
 
     inflow = _face_inflow(problem, dx)
-    energy_start = math.fsum(H)
+    energy_start = energy()
     energy_in = 0.0
     snap_times = np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist()
     snapshots: list[tuple[float, np.ndarray]] = []
 
     def front() -> float:
-        # the melted length: the block plus the liquid fraction of cell m,
-        # at most 1 since every step ends with H[m] <= lam[m]
-        return (m + H[m] / lam[m]) * dx
+        # the block plus the liquid fraction of cell m (h_m <= lam[m])
+        return (m + h_m / lam[m]) * dx
 
     m_start = m
     t = t0
     times, fronts = [t], [front()]
     while t < cfg.t_end:
-        dt = 2.0 * _DT_SAFETY * dx * t / max(front(), dx)
+        dt = 2.0 * _DT_SAFETY * dx * t / max(fronts[-1], dx)
         t_new = min(t + dt, snap_times[len(snapshots)])
         dt = t_new - t
         a, b = inflow(t, dt)
         rdt = problem.k / dx * dt  # interior face conductance times dt
-        # Semismooth Newton.  A step with melted block 0..m-1 solves
-        # heat_capacity*u_i + dt*(F_{i+1/2} - F_{i-1/2}) = H_i - lam_i, with
-        # u_m = 0, by a Thomas sweep (w: eliminated super-diagonal, v:
-        # swept right side, so u_{m-1} = v_{m-1}); the front cell m keeps
-        # u = 0 and takes what flows in.  If that melts it, the block grows
-        # by one row and the sweep continues where it stopped.
-        w: list[float] = []
-        v: list[float] = []
-        w_i = v_i = 0.0
+        # Semismooth Newton: cell m joins the block when its inflow melts it.
+        c1 = heat_capacity / rdt
+        c = c1 + 2.0
+        w_i, v_i = 1.0 - b / rdt, a / rdt
+        swept = 0
         while True:
-            for i in range(len(v), m):
-                if i:
-                    pivot = heat_capacity + rdt * (2.0 - w_i)
-                    v_i = (H[i] - lam[i] + rdt * v_i) / pivot
-                else:
-                    pivot = heat_capacity + rdt + b
-                    v_i = (H[0] - lam[0] + a) / pivot
-                w_i = rdt / pivot
-                w.append(w_i)
-                v.append(v_i)
-            h_front = H[m] + (rdt * v_i if m else a)
+            for i in range(swept, m):
+                w_i = 1.0 / (c - w_i)
+                v_i = u[i] = (c1 * u[i] + v_i) * w_i
+                w[i] = w_i
+            h_front = h_m + rdt * v_i
             if h_front <= lam[m]:
                 break
-            m += 1
+            u[m] = (h_m - lam[m]) / heat_capacity
+            h_m, swept, m = 0.0, m, m + 1
             _check_room(m, nx, t_new)
-        H[m] = h_front
-        u = 0.0
+        h_m = h_front
+        u_i = 0.0
         for i in range(m - 1, -1, -1):
-            u = v[i] + w[i] * u
-            H[i] = lam[i] + heat_capacity * u
-        energy_in += a - b * u  # u is u_0 here, or 0 with no melted block
+            u_i = u[i] = u[i] + w[i] * u_i
+        energy_in += a - b * u_i  # u_i is u_0 here, or 0 with no melted block
         t = t_new
         times.append(t)
         fronts.append(front())
         # no step passes the next snapshot time, so >= means it landed on it
         if t >= snap_times[len(snapshots)]:
-            snapshots.append((t, _temperature(np.array(H), lam_arr, 1.0 / heat_capacity)))
+            snap = np.zeros(nx)
+            snap[:m] = u[:m]
+            snapshots.append((t, snap))
 
-    energy_end = math.fsum(H)
+    energy_end = energy()
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)
     drift = abs(energy_end - energy_start - energy_in) / drift_scale
     return OracleResult(
@@ -267,7 +265,8 @@ def compare_to_closed_form(
     """Sup-norm relative errors of the front trajectory and of the
     temperature snapshots over the melted region, at the times in t_window,
     by default [0.1 t_end, t_end]: skipping the first decade of the run
-    measures propagation, not the initial state.
+    measures propagation, not the initial state.  Raises ValueError when
+    the window holds no front record or no snapshot.
 
     The field error at each snapshot is normalized by the largest
     closed-form temperature at that time (pointwise relative error is
@@ -281,6 +280,10 @@ def compare_to_closed_form(
 
     times = result.times
     keep = (lo <= times) & (times <= hi) & (times > 0.0)
+    snaps = [(t, u) for t, u in result.temperature_snapshots if lo <= t <= hi]
+    if not (keep.any() and snaps):
+        raise ValueError(f"t_window {t_window} holds no front record or no "
+                         f"snapshot of the run on [{times[0]}, {times[-1]}]")
     s_cf = sol.front_position(times[keep])
     ahead = s_cf > 0.0
     front_err = np.abs(result.front_positions[keep][ahead] - s_cf[ahead]) / s_cf[ahead]
@@ -288,19 +291,16 @@ def compare_to_closed_form(
 
     # Every snapshot in the window in one evaluation: rows are snapshots,
     # and the reference is 0 outside each row's melted cells.
-    snaps = [(t, u) for t, u in result.temperature_snapshots if lo <= t <= hi]
-    max_field_err = 0.0
-    if snaps:
-        dx = result.config.domain_length / result.config.nx
-        t = np.array([t for t, _ in snaps])
-        u = np.array([u for _, u in snaps])
-        inside = result.x_centers < sol.front_position(t)[:, None] - dx
-        rows, cols = np.nonzero(inside)
-        ref = np.zeros(u.shape)
-        ref[rows, cols] = sol.temperature(result.x_centers[cols], t[rows])
-        scale = np.abs(ref).max(axis=1)
-        err = np.where(inside, np.abs(u - ref), 0.0).max(axis=1)
-        nonzero = scale > 0.0
-        max_field_err = float((err[nonzero] / scale[nonzero]).max(initial=0.0))
+    dx = result.config.domain_length / result.config.nx
+    t = np.array([t for t, _ in snaps])
+    u = np.array([u for _, u in snaps])
+    inside = result.x_centers < sol.front_position(t)[:, None] - dx
+    rows, cols = np.nonzero(inside)
+    ref = np.zeros(u.shape)
+    ref[rows, cols] = sol.temperature(result.x_centers[cols], t[rows])
+    scale = np.abs(ref).max(axis=1)
+    err = np.where(inside, np.abs(u - ref), 0.0).max(axis=1)
+    nonzero = scale > 0.0
+    max_field_err = float((err[nonzero] / scale[nonzero]).max(initial=0.0))
 
     return ComparisonReport(max_front_err=max_front_err, max_field_err=max_field_err)

@@ -305,15 +305,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "field": _cmd_field,
-    "equiv": _cmd_equiv,
-    "verify": _cmd_verify,
-}
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     """The parser, and each option's (config cast, default) by name.
 
@@ -353,27 +344,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        return sub.add_parser(name, parents=[shared], help=help, allow_abbrev=False)
+    def command(name, handler, help):
+        subparser = sub.add_parser(name, parents=[shared], help=help, allow_abbrev=False)
+        subparser.set_defaults(run=handler)
+        return subparser
 
-    command("solve", "solve one problem")
+    command("solve", _cmd_solve, "solve one problem")
 
-    sweep = command("sweep", "front coefficient sweep")
+    sweep = command("sweep", _cmd_sweep, "front coefficient sweep")
     option(sweep, "--vary", str, choices=("h0", "tinf", "alpha"))
     option(sweep, "--values", str, help="comma-separated ascending grid")
     option(sweep, "--include-limit", bool, False,
            "append the large-h0 limit coefficient column")
 
-    field = command("field", "temperature field grid")
+    field = command("field", _cmd_field, "temperature field grid")
     option(field, "--xmax", float, help="largest x of the grid (default 1.2 s(tmax))")
     option(field, "--tmax", float, 1.0, "last time of the grid")
     option(field, "--nx", int, 50, "grid points in x")
     option(field, "--nt", int, 50, "grid times")
 
-    equiv = command("equiv", "boundary-family conversion report")
+    equiv = command("equiv", _cmd_equiv, "boundary-family conversion report")
     option(equiv, "--to", str, choices=("temperature", "flux", "convective"))
 
-    verify = command("verify", "cross-validate against the enthalpy oracle")
+    verify = command("verify", _cmd_verify, "cross-validate against the enthalpy oracle")
     option(verify, "--nx-oracle", int, 2000, "oracle grid cells")
     option(verify, "--t-end", float, 1.0, "end time of the oracle run")
     option(verify, "--tol", float, 1e-2,
@@ -400,7 +393,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _resolve_options(args, _load_config_file())
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         _error_record("usage", str(exc))
         return 2

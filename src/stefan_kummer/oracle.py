@@ -46,10 +46,11 @@ w_i = 1 / (c - w_{i-1}), v_i = (c1 u_i_prev + v_{i-1}) w_i and
 u_i = v_i + w_i u_{i+1} take 7 float operations per cell.  The face inflow
 a - b u_0 is a ghost row w_{-1} = 1 - b / rdt, v_{-1} = a / rdt.
 
-The step is dt = 2 * _DT_SAFETY * dx * t / max(s, dx) for the current
-oracle front s.  As s grows like sqrt(t), the front then crosses about
-_DT_SAFETY = 0.2 cells per step, so the step count grows linearly in nx,
-and a cold start (s = 0) grows t geometrically.  Every step is recorded: the
+The step is dt = 2 * _DT_SAFETY * dx * (t / max(s, dx)) for the current
+oracle front s (the quotient first, so that dx * t cannot underflow).  As
+s grows like sqrt(t), the front then crosses about _DT_SAFETY = 0.2 cells
+per step, so the step count grows linearly in nx, and a cold start
+(s = 0) grows t geometrically.  Every step is recorded: the
 result holds the time and front at the start and after each step (so
 ``np.diff(result.times)`` is the step history), and temperature
 snapshots at ten equally spaced times after the start, which the steps
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +109,9 @@ class OracleConfig:
             raise ValueError(f"nx must be an integer of at least 50, got {self.nx!r}")
         if not 0.0 < self.start_fraction <= 1.0:
             raise ValueError("start_fraction must lie in (0, 1]")
+        if self.start_fraction * self.t_end < sys.float_info.min:
+            raise ValueError(f"start time start_fraction * t_end = {self.start_fraction} * "
+                             f"{self.t_end} is below the smallest normal float")
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,11 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     snap_times = np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist()
     snapshots: list[tuple[float, np.ndarray]] = []
 
+    # lam grows with the cell index, so no later front cell has a zero one.
+    if lam[m] == 0.0:
+        raise OverflowError(f"the latent heat gamma * x**alpha * dx of cell {m} "
+                            f"underflows to 0 at dx={dx}")
+
     def front() -> float:
         # the block plus the liquid fraction of cell m (h_m <= lam[m])
         return (m + h_m / lam[m]) * dx
@@ -206,7 +216,7 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     t = t0
     times, fronts = [t], [front()]
     while t < cfg.t_end:
-        dt = 2.0 * _DT_SAFETY * dx * t / max(fronts[-1], dx)
+        dt = 2.0 * _DT_SAFETY * dx * (t / max(fronts[-1], dx))
         t_new = min(t + dt, snap_times[len(snapshots)])
         dt = t_new - t
         a, b = inflow(t, dt)
@@ -279,7 +289,7 @@ def compare_to_closed_form(
     lo, hi = t_window
 
     times = result.times
-    keep = (lo <= times) & (times <= hi) & (times > 0.0)
+    keep = (lo <= times) & (times <= hi)
     snaps = [(t, u) for t, u in result.temperature_snapshots if lo <= t <= hi]
     if not (keep.any() and snaps):
         raise ValueError(f"t_window {t_window} holds no front record or no "

@@ -458,13 +458,15 @@ def test_equiv_requires_target():
 
 def test_verify_passes_on_coarse_grid(tmp_path):
     out = tmp_path / "verify.json"
-    code = run(["verify", *FIG9_ARGS, "--nx-oracle", "200", "--t-end", "0.25",
-                "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["passed"] is True
-    assert payload["max_front_err"] <= payload["front_tol"]
-    assert payload["energy_balance_drift"] <= payload["drift_tol"]
+    # At t_end 1e-250 the step's dx * t underflowed to 0: a ZeroDivisionError.
+    for t_end in ("0.25", "1e-250"):
+        code = run(["verify", *FIG9_ARGS, "--nx-oracle", "200", "--t-end", t_end,
+                    "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is True
+        assert payload["max_front_err"] <= payload["front_tol"]
+        assert payload["energy_balance_drift"] <= payload["drift_tol"]
 
 
 def test_verify_failure_exits_1(tmp_path):
@@ -477,10 +479,17 @@ def test_verify_failure_exits_1(tmp_path):
 
 
 def test_verify_small_domain_exits_3(capsys):
-    assert run(["verify", *FIG9_ARGS, "--nx-oracle", "60", "--t-end", "0.25",
-                "--domain-length", "0.05"]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "numerical-failure"
+    cases = [
+        ([*FIG9_ARGS, "--t-end", "0.25", "--domain-length", "0.05"], "domain end"),
+        # The front cell's latent heat underflowed to 0: a ZeroDivisionError.
+        (["--alpha", "2", "--t0", "1", "--t-end", "1e-250"], "latent heat"),
+        (["--alpha", "2", "--c", "1", "--t-end", "1e-250"], "latent heat"),
+    ]
+    for args, cause in cases:
+        assert run(["verify", *args, "--nx-oracle", "60"]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "numerical-failure"
+        assert cause in record["detail"]
 
 
 # ---- config file and precedence ----

@@ -184,6 +184,7 @@ def test_package_exports_are_in_their_modules_all():
     # Tools that walk each module's __all__ (the benchmark's tracer) see a
     # package export only if its own module lists it.
     import importlib
+    import pkgutil
 
     import stefan_kummer
 
@@ -191,3 +192,10 @@ def test_package_exports_are_in_their_modules_all():
         module_name = getattr(getattr(stefan_kummer, name), "__module__", None)
         if module_name and module_name.startswith("stefan_kummer."):
             assert name in importlib.import_module(module_name).__all__, name
+    # And the package exports every name a module lists, as that same object.
+    for info in pkgutil.iter_modules(stefan_kummer.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"stefan_kummer.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert name in stefan_kummer.__all__, name
+                assert getattr(stefan_kummer, name) is getattr(module, name), name

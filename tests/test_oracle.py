@@ -51,6 +51,9 @@ def test_config_validation():
         OracleConfig(domain_length=1.0, t_end=0.0)
     with pytest.raises(ValueError):
         OracleConfig(domain_length=1.0, t_end=1.0, start_fraction=1.5)
+    # A subnormal start time (1e-322) made the first step divide by zero.
+    with pytest.raises(ValueError, match="start time"):
+        OracleConfig(domain_length=1.0, t_end=1e-320)
 
 
 def test_front_tracks_closed_form():

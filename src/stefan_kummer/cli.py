@@ -31,16 +31,7 @@ import sys
 from dataclasses import fields
 from itertools import islice, repeat
 
-import numpy as np
-
-from .equivalence import (
-    EquivalenceReport,
-    convective_to_flux,
-    convective_to_temperature,
-    equivalence_report,
-    flux_to_convective,
-    temperature_to_convective,
-)
+from .equivalence import EquivalenceReport, _convert, equivalence_report
 from .limits import limit_problem
 from .oracle import OracleConfig, compare_to_closed_form, run_oracle
 from .stefan import (
@@ -210,6 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
+    import numpy as np
     sol = solve_front(_resolve_problem(args))
     tmax, nx, nt = args.tmax, args.nx, args.nt
     _require_positive_flag("--tmax", tmax)
@@ -239,23 +231,20 @@ def _cmd_field(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    to = args.to
-    if to not in ("temperature", "flux", "convective"):
+    family = {f.__name__.lower(): f for f in _FAMILY_FLAGS}.get(args.to)
+    if family is None:
         raise UsageError("equiv needs --to temperature|flux|convective")
-    if to == "convective":
+    if family is Convective:
         # --tinf is the target's bulk coefficient, so it bypasses the source.
         if args.h0 is not None:
             raise UsageError("source is already convective")
         if args.tinf is None:
             raise UsageError("conversion to convective needs --tinf")
         source = _resolve_problem(args, tinf=None)
-        to_convective = {Temperature: temperature_to_convective,
-                         Flux: flux_to_convective}[type(source.boundary)]
-        target = to_convective(source, args.tinf)
+        target = _convert(source, type(source.boundary), family, args.tinf)
     else:
         source = _resolve_problem(args)
-        target = (convective_to_temperature if to == "temperature"
-                  else convective_to_flux)(source)
+        target = _convert(source, Convective, family)
     report: EquivalenceReport = equivalence_report(source, target)
     payload = {
         "nu_source": report.nu_source,

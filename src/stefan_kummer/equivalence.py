@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .stefan import (
     Convective,
     Flux,
@@ -60,34 +58,17 @@ def _solved_face(problem: ProblemSpec, family, op: str) -> tuple[float, float]:
     return sol.coeff_even, problem.k * sol.coeff_odd / (2.0 * math.sqrt(problem.d))
 
 
-def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:
-    """Temperature-family problem with the same solution as the convective one.
-
-    The datum is the solved face temperature coefficient u(0,t)/t^{alpha/2};
-    it is always strictly below the bulk coefficient t_inf.
-    """
-    a, _ = _solved_face(problem, Convective, "convective_to_temperature")
-    return replace(problem, boundary=Temperature(t0=a))
-
-
-def convective_to_flux(problem: ProblemSpec) -> ProblemSpec:
-    """Flux-family problem with the same solution as the convective one.
-
-    The datum is the solved inward face flux coefficient
-    -k u_x(0,t)/t^{(alpha-1)/2}, which is positive for melting data.
-    """
-    _, j = _solved_face(problem, Convective, "convective_to_flux")
-    return replace(problem, boundary=Flux(c=-j))
-
-
-def flux_threshold(problem: ProblemSpec) -> float:
-    """Smallest bulk coefficient compatible with a convective match of the
-    given flux problem (the face temperature coefficient of its solution)."""
-    return _solved_face(problem, Flux, "flux_threshold")[0]
-
-
-def _to_convective(problem: ProblemSpec, t_inf: float, family, op: str) -> ProblemSpec:
-    a, j = _solved_face(problem, family, op)
+def _convert(problem: ProblemSpec, source: type, target: type,
+             t_inf: float | None = None) -> ProblemSpec:
+    """The ``target``-family problem with the same solution as ``problem``,
+    a ``source``-family one: one of the two families is convective, and a
+    convective target has the bulk coefficient t_inf."""
+    op = f"{source.__name__.lower()}_to_{target.__name__.lower()}"
+    a, j = _solved_face(problem, source, op)
+    if target is Temperature:
+        return replace(problem, boundary=Temperature(t0=a))
+    if target is Flux:
+        return replace(problem, boundary=Flux(c=-j))
     if not (math.isfinite(t_inf) and t_inf > a):
         raise ValueError(
             f"bulk coefficient t_inf={t_inf} must exceed the solved face "
@@ -96,13 +77,37 @@ def _to_convective(problem: ProblemSpec, t_inf: float, family, op: str) -> Probl
     return replace(problem, boundary=Convective(h0=j / (a - t_inf), t_inf=t_inf))
 
 
+def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:
+    """Temperature-family problem with the same solution as the convective one.
+
+    The datum is the solved face temperature coefficient u(0,t)/t^{alpha/2};
+    it is always strictly below the bulk coefficient t_inf.
+    """
+    return _convert(problem, Convective, Temperature)
+
+
+def convective_to_flux(problem: ProblemSpec) -> ProblemSpec:
+    """Flux-family problem with the same solution as the convective one.
+
+    The datum is the solved inward face flux coefficient
+    -k u_x(0,t)/t^{(alpha-1)/2}, which is positive for melting data.
+    """
+    return _convert(problem, Convective, Flux)
+
+
+def flux_threshold(problem: ProblemSpec) -> float:
+    """Smallest bulk coefficient compatible with a convective match of the
+    given flux problem (the face temperature coefficient of its solution)."""
+    return _solved_face(problem, Flux, "flux_threshold")[0]
+
+
 def temperature_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
     """Convective-family problem with the same solution as the temperature one.
 
     Needs a bulk coefficient t_inf strictly above the face datum t0; at
     t_inf = t0 the required transfer coefficient diverges.
     """
-    return _to_convective(problem, t_inf, Temperature, "temperature_to_convective")
+    return _convert(problem, Temperature, Convective, t_inf)
 
 
 def flux_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
@@ -112,7 +117,7 @@ def flux_to_convective(problem: ProblemSpec, t_inf: float) -> ProblemSpec:
     (see ``flux_threshold``); at the threshold the transfer coefficient
     diverges.
     """
-    return _to_convective(problem, t_inf, Flux, "flux_to_convective")
+    return _convert(problem, Flux, Convective, t_inf)
 
 
 def equivalence_report(source: ProblemSpec, target: ProblemSpec) -> EquivalenceReport:
@@ -120,6 +125,7 @@ def equivalence_report(source: ProblemSpec, target: ProblemSpec) -> EquivalenceR
     a 20-by-20 grid spanning the melted region of the source over the
     times (0.1, 2]: at t_i = 0.1 + 1.9 i / 20 (i = 1..20) the points
     x_j = s(t_i) (j + 1/2) / 20 (j = 0..19) of the source front s."""
+    import numpy as np
     t_lo, t_hi = _T_SPAN
     sol_s = solve_front(source)
     sol_t = solve_front(target)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .stefan import (
     Convective,
     ProblemSpec,
@@ -66,6 +64,7 @@ def field_convergence_gap(
     """Largest deviation of the finite-h0 temperature from the limit
     temperature over the sample grid xs x ts.  An empty grid, or an h0
     that ``Convective`` rejects, raises ValueError."""
+    import numpy as np
     boundary = _require_family(base, Convective, "field_convergence_gap")
     x = np.asarray(xs, dtype=float)
     t = np.asarray(ts, dtype=float)[:, None]

@@ -65,8 +65,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .stefan import Convective, ProblemSpec, SimilaritySolution, Temperature, solve_front
 
 __all__ = [
@@ -174,6 +172,7 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     """Integrate the enthalpy scheme, recording the time and front at the
     start and after every step, and the temperature at ten equally spaced
     times after the start."""
+    import numpy as np
     nx = cfg.nx
     dx = cfg.domain_length / nx
     x_centers = (np.arange(nx) + 0.5) * dx
@@ -282,6 +281,7 @@ def compare_to_closed_form(
     closed-form temperature at that time (pointwise relative error is
     meaningless next to the front, where both fields vanish).
     """
+    import numpy as np
     if result.problem != sol.problem:
         raise ValueError("oracle result and closed form describe different problems")
     if t_window is None:

@@ -68,8 +68,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
 
 __all__ = [
@@ -312,9 +310,9 @@ def _require_all(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> No
         raise ValueError(f"{name} must be {what}, got {values[~ok][0]}")
 
 
-def _result(value, *args):
-    """value as a Python float when no argument was an ndarray."""
-    return value if any(isinstance(a, np.ndarray) for a in args) else float(value)
+def _result(value):
+    """value as a Python float when its broadcast shape is (), else the array."""
+    return value if value.ndim else float(value)
 
 
 def _profile_walk(alpha: float, nu: float, stop: float):
@@ -361,6 +359,7 @@ def _pieces(nodes, rows, shifts, exponent: int, scale: float):
     """(lower, center, step, coefficients) of the pieces of 2**exponent
     scale g from one walk, ascending in eta; column j of the coefficients
     holds piece j in s = (eta - center[j]) / step[j], inf past double range."""
+    import numpy as np
     nodes = np.array(nodes)
     lower = np.minimum(nodes[:-1], nodes[1:])
     j = np.argsort(lower)
@@ -373,11 +372,13 @@ def _pieces(nodes, rows, shifts, exponent: int, scale: float):
 class SimilaritySolution:
     """Solved closed form: front coefficient plus field evaluators.
 
-    ``front_position``, ``temperature`` and ``temperature_flux`` take floats
-    or numpy arrays and evaluate both the same way: x and t broadcast
-    against each other and every element is checked.  The result is a
-    Python float when no argument is an ndarray, else an array of the
-    broadcast shape.
+    ``front_position``, ``temperature`` and ``temperature_flux`` take floats,
+    sequences or numpy arrays and evaluate all of them the same way: x and t
+    broadcast against each other and every element is checked.  The result
+    is a Python float when the broadcast shape is () (floats, or 0-d
+    arrays), else an array of the broadcast shape: a list or a tuple gives
+    an array, as an ndarray does.  These evaluators import numpy on first
+    use; solving the front does not.
 
     The field is u = t**(alpha/2) f(eta) and u_x = t**((alpha-1)/2)
     f'(eta) / (2 sqrt(d)).  The pieces of f over [0, nu] are walked on the
@@ -397,9 +398,10 @@ class SimilaritySolution:
 
     def front_position(self, t):
         """s(t) = 2 nu sqrt(d) sqrt(t) for finite t >= 0."""
+        import numpy as np
         ts = np.asarray(t, dtype=float)
         _require_all("t", ts, np.isfinite(ts) & (ts >= 0.0), "a finite real >= 0")
-        return _result(2.0 * self.nu * math.sqrt(self.problem.d) * np.sqrt(ts), t)
+        return _result(2.0 * self.nu * math.sqrt(self.problem.d) * np.sqrt(ts))
 
     def front_speed(self, t: float) -> float:
         """ds/dt = nu sqrt(d) / sqrt(t)."""
@@ -409,6 +411,7 @@ class SimilaritySolution:
     def _eta(self, x, t) -> tuple[np.ndarray, np.ndarray]:
         """eta = x / (2 sqrt(d) sqrt(t)) and t as float arrays, every
         element checked.  sqrt(d t) would underflow for d t below 1e-308."""
+        import numpy as np
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         _require_all("t", t, np.isfinite(t) & (t > 0.0), "a positive finite real")
         _require_all("x", x, np.isfinite(x) & (x >= 0.0), "a finite real >= 0")
@@ -437,6 +440,7 @@ class SimilaritySolution:
 
     def _profile(self, eta: np.ndarray, derivative: bool) -> np.ndarray:
         """f(eta), or f'(eta), walking past the front as far as eta needs."""
+        import numpy as np
         pieces, exponent, scale = self._melt
         top = float(eta.max(initial=0.0))
         if top > self.nu:
@@ -459,17 +463,19 @@ class SimilaritySolution:
 
     def temperature(self, x, t):
         """Similarity temperature u = t**(alpha/2) f(eta) at (x, t), t > 0."""
+        import numpy as np
         eta, ts = self._eta(x, t)
-        return _result(np.power(ts, self.problem.alpha / 2.0) * self._profile(eta, False), x, t)
+        return _result(np.power(ts, self.problem.alpha / 2.0) * self._profile(eta, False))
 
     def temperature_flux(self, x, t):
         """Spatial derivative u_x = t**((alpha-1)/2) f'(eta) / (2 sqrt(d))
         of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
+        import numpy as np
         eta, ts = self._eta(x, t)
         scale = np.power(ts, (self.problem.alpha - 1.0) / 2.0) / (2.0 * math.sqrt(self.problem.d))
-        return _result(scale * self._profile(eta, True), x, t)
+        return _result(scale * self._profile(eta, True))
 
 
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -617,3 +621,40 @@ def test_stdout_output(capsys):
     assert run(["solve", *FIG9_ARGS]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert math.isfinite(payload["nu"])
+
+
+# ---- start-up ----
+
+
+_SCALAR_PATH = """
+import os, sys
+import stefan_kummer as sk
+from stefan_kummer import cli
+
+fig9 = sk.ProblemSpec(alpha=0.4, boundary=sk.Convective(h0=0.5, t_inf=1.0))
+sol = sk.solve_front(fig9)
+sk.run_limit_study(fig9, [0.5, 5.0, 50.0])
+sk.temperature_to_convective(sk.convective_to_temperature(fig9), 1.0)
+sk.flux_to_convective(sk.convective_to_flux(fig9), 1.0)
+fig9_args = ["--alpha", "0.4", "--h0", "0.5", "--tinf", "1", "--out", os.devnull]
+assert cli.main(["solve", *fig9_args]) == 0
+assert cli.main(["sweep", "--vary", "h0", "--values", "0.5,5", "--include-limit",
+                 *fig9_args]) == 0
+assert "numpy" not in sys.modules, "the scalar path imported numpy"
+u = sol.temperature(0.1, 1.0)
+assert type(u) is float
+print(repr(u))
+"""
+
+
+def test_scalar_path_starts_without_numpy():
+    # A fresh interpreter: this test process has imported numpy already.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "STEFAN_KUMMER_CONFIG"}
+    env["PYTHONPATH"] = str(src)
+    child = subprocess.run([sys.executable, "-c", _SCALAR_PATH], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    # The first field evaluation imports numpy inside the function.
+    fig9 = ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))
+    assert float(child.stdout) == solve_front(fig9).temperature(0.1, 1.0)

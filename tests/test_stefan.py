@@ -1033,6 +1033,24 @@ def test_array_evaluators_match_float_evaluators(problem):
     assert type(sol.front_position(1.0)) is float
 
 
+@pytest.mark.parametrize("box", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+def test_sequence_arguments_give_arrays(box):
+    # Lists and tuples were checked and evaluated, then failed to convert
+    # to a float.
+    sol = solve_front(FIG9)
+    xs, ts = [0.1, 0.2], [0.5, 1.0]
+    for method in (sol.temperature, sol.temperature_flux):
+        by_x, by_t = method(box(xs), 1.0), method(0.1, box(ts))
+        assert isinstance(by_x, np.ndarray) and isinstance(by_t, np.ndarray)
+        assert by_x.tolist() == [method(x, 1.0) for x in xs]
+        assert by_t.tolist() == [method(0.1, t) for t in ts]
+    fronts = sol.front_position(box(ts))
+    assert isinstance(fronts, np.ndarray)
+    assert fronts.tolist() == [sol.front_position(t) for t in ts]
+    # A broadcast shape of () gives a float, also from 0-d arrays.
+    assert type(sol.temperature(np.array(0.1), np.float64(1.0))) is float
+
+
 def test_array_evaluator_domain_errors():
     sol = solve_front(FIG9)
     with pytest.raises(ValueError):

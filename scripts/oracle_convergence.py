@@ -6,7 +6,9 @@ boundary families, over compare_to_closed_form's default window
 [0.1 t_end, t_end]; this is where the 1% front / 2% field verification
 tolerances come from.  The oracle's step follows its front (about 0.2
 cells per step), so refining nx refines dx and dt together; the step
-count and the total Newton iterations show the cost.
+count and the total Newton iterations show the cost, and `secs` times the
+oracle run and the comparison (the closed form is solved once per case,
+and the oracle's warm start reads it).
 
 Usage: python scripts/oracle_convergence.py [t_end]
 """
@@ -43,7 +45,7 @@ def main():
         for nx in (125, 250, 500, 1000, 2000):
             cfg = OracleConfig(domain_length=length, t_end=t_end, nx=nx)
             start = time.monotonic()
-            result = run_oracle(problem, cfg)
+            result = run_oracle(problem, cfg, sol)
             report = compare_to_closed_form(result, sol)
             print(f"{name:>12} {nx:>6} {report.max_front_err:>10.2e} "
                   f"{report.max_field_err:>10.2e} "

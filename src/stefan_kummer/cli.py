@@ -267,7 +267,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                      else args.domain_length)
     _require_positive_flag("--domain-length", domain_length)
     cfg = OracleConfig(domain_length=domain_length, t_end=t_end, nx=nx)
-    result = run_oracle(problem, cfg)
+    result = run_oracle(problem, cfg, sol)
     report = compare_to_closed_form(result, sol)
     front_tol, field_tol, drift_tol = tol, 2.0 * tol, 0.005
     passed = (

@@ -4,8 +4,9 @@ The scheme shares no code with the closed form (it takes only the problem
 data types from ``stefan``): it integrates the heat equation on a
 cell-centered grid and tracks the melting front through a per-cell
 latent-heat budget.  Its default warm start is the one place that reads
-the closed form: ``solve_front``'s front and temperature at the start
-time give the initial state (see below).  Cell i (center x_i, width dx)
+the closed form: the front and temperature at the start time of the
+caller's solved closed form, or of ``solve_front``'s when the caller gives
+none, are the initial state (see below).  Cell i (center x_i, width dx)
 carries a per-area heat content H_i; the first lam_i = gamma * x_i**alpha
 * dx of it melts the cell (midpoint rule for the position-dependent latent
 heat) and the excess is sensible heat with volumetric capacity k/d, so the
@@ -145,7 +146,10 @@ def _face_inflow(problem: ProblemSpec, dx: float):
         def inflow(t: float, dt: float) -> tuple[float, float]:
             t1 = t + dt
             resistance = math.sqrt(t1) / b.h0 + dx / (2.0 * k)
-            return dt * b.t_inf * t1 ** (alpha / 2.0) / resistance, dt / resistance
+            # dt / resistance first: dt * t_inf under- or overflows at
+            # extreme time scales, where the quotient does not.
+            g = dt / resistance
+            return g * b.t_inf * t1 ** (alpha / 2.0), g
 
     elif isinstance(b, Temperature):
         conductance = 2.0 * k / dx
@@ -168,10 +172,16 @@ def _check_room(m: int, nx: int, t: float) -> None:
         raise RuntimeError(f"front reached the domain end at t={t}; enlarge domain_length")
 
 
-def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
+def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
+               closed_form: SimilaritySolution | None = None) -> OracleResult:
     """Integrate the enthalpy scheme, recording the time and front at the
     start and after every step, and the temperature at ten equally spaced
-    times after the start."""
+    times after the start.
+
+    The warm start reads its initial state from closed_form, the solved
+    closed form of problem, or from ``solve_front(problem)`` when it is
+    None; a closed form of another problem raises ValueError.  A cold start
+    never reads it."""
     import numpy as np
     nx = cfg.nx
     dx = cfg.domain_length / nx
@@ -186,7 +196,9 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     h_m = 0.0
     m = 0  # melted block 0..m-1, cell m partially melted, solid past it
     if not cfg.cold_start:
-        sol = solve_front(problem)
+        sol = solve_front(problem) if closed_form is None else closed_form
+        if sol.problem != problem:
+            raise ValueError("closed form and oracle describe different problems")
         s0 = sol.front_position(t0)
         m = int(s0 / dx)  # cells with right edge below s0
         _check_room(m, nx, t0)
@@ -199,27 +211,29 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
     inflow = _face_inflow(problem, dx)
     energy_start = energy()
     energy_in = 0.0
-    snap_times = np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist()
+    snap_times = iter(np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist())
     snapshots: list[tuple[float, np.ndarray]] = []
 
     # lam grows with the cell index, so no later front cell has a zero one.
-    if lam[m] == 0.0:
+    lam_m = lam[m]
+    if lam_m == 0.0:
         raise OverflowError(f"the latent heat gamma * x**alpha * dx of cell {m} "
                             f"underflows to 0 at dx={dx}")
 
-    def front() -> float:
-        # the block plus the liquid fraction of cell m (h_m <= lam[m])
-        return (m + h_m / lam[m]) * dx
-
+    step_scale = 2.0 * _DT_SAFETY * dx
+    conductance = problem.k / dx  # interior face conductance
     m_start = m
-    t = t0
-    times, fronts = [t], [front()]
-    while t < cfg.t_end:
-        dt = 2.0 * _DT_SAFETY * dx * (t / max(fronts[-1], dx))
-        t_new = min(t + dt, snap_times[len(snapshots)])
+    t, t_end = t0, cfg.t_end
+    t_snap = next(snap_times)
+    s = (m + h_m / lam_m) * dx  # the block plus the liquid fraction of cell m
+    times, fronts = [t], [s]
+    while t < t_end:
+        t_new = t + step_scale * (t / (s if s > dx else dx))
+        if t_snap < t_new:
+            t_new = t_snap
         dt = t_new - t
         a, b = inflow(t, dt)
-        rdt = problem.k / dx * dt  # interior face conductance times dt
+        rdt = conductance * dt
         # Semismooth Newton: cell m joins the block when its inflow melts it.
         c1 = heat_capacity / rdt
         c = c1 + 2.0
@@ -231,24 +245,27 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig) -> OracleResult:
                 v_i = u[i] = (c1 * u[i] + v_i) * w_i
                 w[i] = w_i
             h_front = h_m + rdt * v_i
-            if h_front <= lam[m]:
+            if h_front <= lam_m:
                 break
-            u[m] = (h_m - lam[m]) / heat_capacity
+            u[m] = (h_m - lam_m) / heat_capacity
             h_m, swept, m = 0.0, m, m + 1
             _check_room(m, nx, t_new)
+            lam_m = lam[m]
         h_m = h_front
         u_i = 0.0
         for i in range(m - 1, -1, -1):
             u_i = u[i] = u[i] + w[i] * u_i
         energy_in += a - b * u_i  # u_i is u_0 here, or 0 with no melted block
         t = t_new
+        s = (m + h_m / lam_m) * dx
         times.append(t)
-        fronts.append(front())
+        fronts.append(s)
         # no step passes the next snapshot time, so >= means it landed on it
-        if t >= snap_times[len(snapshots)]:
+        if t >= t_snap:
             snap = np.zeros(nx)
             snap[:m] = u[:m]
             snapshots.append((t, snap))
+            t_snap = next(snap_times, t_end)
 
     energy_end = energy()
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from stefan_kummer import ProblemSpec, Convective, Flux, Temperature, solve_front
+from stefan_kummer import cli, oracle, stefan
 from stefan_kummer.cli import main
 
 from _oracles import bisect, bisect_front, classical_stefan_residual, mp_field, mp_front_root
@@ -463,7 +464,9 @@ def test_equiv_requires_target():
 def test_verify_passes_on_coarse_grid(tmp_path):
     out = tmp_path / "verify.json"
     # At t_end 1e-250 the step's dx * t underflowed to 0: a ZeroDivisionError.
-    for t_end in ("0.25", "1e-250"):
+    # The convective inflow dt * t_inf underflowed from 1e-270 down (the
+    # front stalled) and overflowed from 1e280 up (exit 3).
+    for t_end in ("0.25", "1e-250", "1e-300", "1e-280", "1e280", "1e300"):
         code = run(["verify", *FIG9_ARGS, "--nx-oracle", "200", "--t-end", t_end,
                     "--out", str(out)])
         assert code == 0
@@ -471,6 +474,25 @@ def test_verify_passes_on_coarse_grid(tmp_path):
         assert payload["passed"] is True
         assert payload["max_front_err"] <= payload["front_tol"]
         assert payload["energy_balance_drift"] <= payload["drift_tol"]
+
+
+def test_verify_solves_closed_form_once(tmp_path, monkeypatch):
+    # run_oracle's warm start solved the problem and walked its profile a
+    # second time.
+    calls = {"cli": 0, "oracle": 0, "walk": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "solve_front", counted("cli", cli.solve_front))
+    monkeypatch.setattr(oracle, "solve_front", counted("oracle", oracle.solve_front))
+    monkeypatch.setattr(stefan, "_profile_walk", counted("walk", stefan._profile_walk))
+    out = tmp_path / "verify.json"
+    assert run(["verify", *FIG9_ARGS, "--nx-oracle", "160", "--out", str(out)]) == 0
+    assert calls == {"cli": 1, "oracle": 0, "walk": 1}
 
 
 def test_verify_failure_exits_1(tmp_path):

@@ -106,6 +106,34 @@ def test_step_constant_keeps_margin_at_bench_grids():
     assert worst_field <= 1.5e-2
 
 
+@pytest.mark.parametrize("problem, nx, steps, newton", [
+    (FAMILIES[0], 160, 186, 221),
+    (FAMILIES[1], 250, 287, 343),
+    (FAMILIES[2], 225, 260, 311),
+], ids=["convective", "temperature", "flux"])
+def test_step_counts_pinned_at_bench_grids(problem, nx, steps, newton):
+    # Any change to the scheme inside the step loop moves these counts.
+    result = run_oracle(problem, short_config(problem, t_end=1.0, nx=nx))
+    assert (result.n_steps, result.newton_iterations) == (steps, newton)
+
+
+@pytest.mark.parametrize("problem", FAMILIES, ids=["convective", "temperature", "flux"])
+def test_given_closed_form_changes_nothing(problem):
+    cfg = short_config(problem)
+    given = run_oracle(problem, cfg, closed_form=solve_front(problem))
+    solved = run_oracle(problem, cfg)
+    for name in ("x_centers", "times", "front_positions"):
+        assert np.array_equal(getattr(given, name), getattr(solved, name))
+    assert len(given.temperature_snapshots) == len(solved.temperature_snapshots)
+    for (t1, u1), (t2, u2) in zip(given.temperature_snapshots, solved.temperature_snapshots):
+        assert t1 == t2 and np.array_equal(u1, u2)
+    assert given.energy_balance_drift == solved.energy_balance_drift
+    assert (given.n_steps, given.newton_iterations) == (solved.n_steps, solved.newton_iterations)
+    other = ProblemSpec(alpha=problem.alpha + 0.1, boundary=problem.boundary)
+    with pytest.raises(ValueError, match="different problems"):
+        run_oracle(problem, cfg, closed_form=solve_front(other))
+
+
 @pytest.mark.parametrize("problem", FAMILIES, ids=["convective", "temperature", "flux"])
 def test_refinement_improves_front(problem):
     sol = solve_front(problem)

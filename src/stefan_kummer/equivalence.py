@@ -66,15 +66,15 @@ def _convert(problem: ProblemSpec, source: type, target: type,
     op = f"{source.__name__.lower()}_to_{target.__name__.lower()}"
     a, j = _solved_face(problem, source, op)
     if target is Temperature:
-        return replace(problem, boundary=Temperature(t0=a))
-    if target is Flux:
-        return replace(problem, boundary=Flux(c=-j))
-    if not (math.isfinite(t_inf) and t_inf > a):
-        raise ValueError(
-            f"bulk coefficient t_inf={t_inf} must exceed the solved face "
-            f"temperature coefficient (threshold {a})"
-        )
-    return replace(problem, boundary=Convective(h0=j / (a - t_inf), t_inf=t_inf))
+        data = {"t0": a}
+    elif target is Flux:
+        data = {"c": -j}
+    elif math.isfinite(t_inf) and t_inf > a:
+        data = {"h0": j / (a - t_inf), "t_inf": t_inf}
+    else:
+        raise ValueError(f"bulk coefficient t_inf={t_inf} must exceed the solved face "
+                         f"temperature coefficient (threshold {a})")
+    return replace(problem, boundary=target(**data))
 
 
 def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:

@@ -1,20 +1,20 @@
 """Fixed-grid enthalpy solver used as ground truth for the closed form.
 
 The scheme shares no code with the closed form (it takes only the problem
-data types from ``stefan``): it integrates the heat equation on a
-cell-centered grid and tracks the melting front through a per-cell
-latent-heat budget.  Its default warm start is the one place that reads
-the closed form: the front and temperature at the start time of the
+data types and their datum check from ``stefan``): it integrates the heat
+equation on a cell-centered grid and tracks the melting front through a
+per-cell latent-heat budget.  Its default warm start is the one place that
+reads the closed form: the front and temperature at the start time of the
 caller's solved closed form, or of ``solve_front``'s when the caller gives
 none, are the initial state (see below).  Cell i (center x_i, width dx)
-carries a per-area heat content H_i; the first lam_i = gamma * x_i**alpha
-* dx of it melts the cell (midpoint rule for the position-dependent latent
-heat) and the excess is sensible heat with volumetric capacity k/d, so the
-cell temperature is u(H_i) = (d / (k dx)) * max(H_i - lam_i, 0).
-Partially melted cells sit at the phase-change temperature 0, which also
-blocks conduction past the front, as befits a one-phase model.  The front
-position is the melted length: fully melted cells plus the liquid
-fraction of the first partial cell.
+carries a per-area heat content H_i; the first
+lam_i = gamma * x_i**alpha * dx of it melts the cell (midpoint rule for the
+position-dependent latent heat) and the excess is sensible heat with
+volumetric capacity k/d, so the cell temperature is
+u(H_i) = (d / (k dx)) * max(H_i - lam_i, 0).  Partially melted cells sit
+at the phase-change temperature 0, which also blocks conduction past the
+front, as befits a one-phase model.  The front position is the melted
+length: fully melted cells plus the liquid fraction of the first partial cell.
 
 The time-dependent boundary data are singular at t = 0, so integration
 starts at t0 = start_fraction * t_end with the closed-form state as the
@@ -66,7 +66,8 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .stefan import Convective, ProblemSpec, SimilaritySolution, Temperature, solve_front
+from .stefan import (Convective, ProblemSpec, SimilaritySolution, Temperature,
+                     _require_positive, solve_front)
 
 __all__ = [
     "OracleConfig",
@@ -98,12 +99,8 @@ class OracleConfig:
     cold_start: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.domain_length) and self.domain_length > 0.0):
-            raise ValueError(
-                f"domain_length must be positive and finite, got {self.domain_length}"
-            )
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        _require_positive("domain_length", self.domain_length)
+        _require_positive("t_end", self.t_end)
         if not (isinstance(self.nx, numbers.Integral) and self.nx >= 50):
             raise ValueError(f"nx must be an integer of at least 50, got {self.nx!r}")
         if not 0.0 < self.start_fraction <= 1.0:

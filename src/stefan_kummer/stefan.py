@@ -386,8 +386,8 @@ class SimilaritySolution:
     reproduce ``coeff_even``, ``coeff_odd``.  ``temperature`` also
     evaluates the continuation past the front (callers that want the
     physical field mask x > s(t) to 0) up to eta = max(nu, 30), and raises
-    beyond.  Near the front f may lie below double range (f(0) / f'(nu)
-    grows like exp(nu**2)), and u there is 0.
+    beyond.  A value above double range raises OverflowError; one below it
+    is 0, as near the front, where f(0) / f'(nu) grows like exp(nu**2).
     """
 
     problem: ProblemSpec
@@ -438,44 +438,45 @@ class SimilaritySolution:
                           * (2 * dec(self.nu) * root_d) ** (dec(p.alpha) + 1))
         return _pieces(nodes, rows, shifts, exponent, scale), exponent, scale
 
-    def _profile(self, eta: np.ndarray, derivative: bool) -> np.ndarray:
-        """f(eta), or f'(eta), walking past the front as far as eta needs."""
+    def _field(self, x, t, derivative: bool):
+        """u = t**(alpha/2) f(eta), or u_x = t**((alpha-1)/2) f'(eta) / (2 sqrt(d))
+        with ``derivative``, walking past the front as far as eta needs."""
         import numpy as np
+        eta, ts = self._eta(x, t)
         pieces, exponent, scale = self._melt
         top = float(eta.max(initial=0.0))
         if top > self.nu:
             outer = _pieces(*_profile_walk(self.problem.alpha, self.nu, top)[:3],
                             exponent, scale)
-            if not np.isfinite(outer[3]).all():
-                raise OverflowError(f"the field past the front overflows double "
-                                    f"precision below eta = {top} ({self.problem!r})")
             pieces = [np.concatenate(pair, axis=-1) for pair in zip(pieces, outer)]
         lower, center, step, coeffs = pieces
-        if derivative:
-            coeffs = coeffs[1:] * np.arange(1.0, _PROFILE_ORDER + 1.0)[:, None] / step
         j = np.searchsorted(lower, eta, side="right") - 1
         s = (eta - center[j]) / step[j]
-        coeffs = coeffs[:, j]
-        total = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            total = total * s + c
-        return total
+        with np.errstate(over="ignore", invalid="ignore"):
+            if derivative:
+                coeffs = coeffs[1:] * np.arange(1.0, _PROFILE_ORDER + 1.0)[:, None] / step
+            coeffs = coeffs[:, j]
+            total = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                total = total * s + c
+            power = np.power(ts, (self.problem.alpha - derivative) / 2.0)
+            value = (power / (2.0 * math.sqrt(self.problem.d)) if derivative else power) * total
+        finite = np.isfinite(value)
+        if not finite.all():
+            where = "past the front" if (eta[~finite] > self.nu).any() else "in the melt"
+            raise OverflowError(f"the field {where} overflows double precision ({self.problem!r})")
+        return _result(value)
 
     def temperature(self, x, t):
         """Similarity temperature u = t**(alpha/2) f(eta) at (x, t), t > 0."""
-        import numpy as np
-        eta, ts = self._eta(x, t)
-        return _result(np.power(ts, self.problem.alpha / 2.0) * self._profile(eta, False))
+        return self._field(x, t, False)
 
     def temperature_flux(self, x, t):
         """Spatial derivative u_x = t**((alpha-1)/2) f'(eta) / (2 sqrt(d))
         of the similarity temperature at (x, t).
 
         The conductive heat flux is -k times this value."""
-        import numpy as np
-        eta, ts = self._eta(x, t)
-        scale = np.power(ts, (self.problem.alpha - 1.0) / 2.0) / (2.0 * math.sqrt(self.problem.d))
-        return _result(scale * self._profile(eta, True))
+        return self._field(x, t, True)
 
 
 def solve_front(problem: ProblemSpec) -> SimilaritySolution:

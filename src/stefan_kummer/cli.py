@@ -125,6 +125,18 @@ def _require_positive_flag(flag: str, value: float) -> None:
         raise UsageError(f"{flag} must be a positive finite number, got {value}")
 
 
+def _flag_or_default(flag: str, given: float | None, default: float, formula: str) -> float:
+    """The user's ``given`` value of ``flag``, checked as a flag, else the
+    computed ``default`` (``formula``), which raises OverflowError outside
+    double range."""
+    if given is not None:
+        _require_positive_flag(flag, given)
+        return given
+    if not (math.isfinite(default) and default > 0.0):
+        raise OverflowError(f"the default {flag} {formula} = {default} is outside double range")
+    return default
+
+
 def _csv_text(header: str, lines) -> str:
     return "\n".join([header, *lines]) + "\n"
 
@@ -207,8 +219,7 @@ def _cmd_field(args: argparse.Namespace) -> int:
     _require_positive_flag("--tmax", tmax)
     if nx < 2 or nt < 1:
         raise UsageError("field needs --nx >= 2, --nt >= 1")
-    xmax = 1.2 * sol.front_position(tmax) if args.xmax is None else args.xmax
-    _require_positive_flag("--xmax", xmax)
+    xmax = _flag_or_default("--xmax", args.xmax, 1.2 * sol.front_position(tmax), "1.2 s(tmax)")
     xs = [xmax * j / (nx - 1) for j in range(nx)]
     ts = [tmax * i / nt for i in range(1, nt + 1)]
     x, t = np.array(xs), np.array(ts)
@@ -263,9 +274,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_positive_flag("--t-end", t_end)
     _require_positive_flag("--tol", tol)
     sol = solve_front(problem)
-    domain_length = (4.0 * sol.front_position(t_end) if args.domain_length is None
-                     else args.domain_length)
-    _require_positive_flag("--domain-length", domain_length)
+    domain_length = _flag_or_default("--domain-length", args.domain_length,
+                                     4.0 * sol.front_position(t_end), "4 s(t_end)")
     cfg = OracleConfig(domain_length=domain_length, t_end=t_end, nx=nx)
     result = run_oracle(problem, cfg, sol)
     report = compare_to_closed_form(result, sol)

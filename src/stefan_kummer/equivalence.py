@@ -74,7 +74,11 @@ def _convert(problem: ProblemSpec, source: type, target: type,
     else:
         raise ValueError(f"bulk coefficient t_inf={t_inf} must exceed the solved face "
                          f"temperature coefficient (threshold {a})")
-    return replace(problem, boundary=target(**data))
+    try:
+        boundary = target(**data)
+    except ValueError as exc:  # a datum computed from (A, J), not given
+        raise OverflowError(f"{op} computes a datum outside double range: {exc}") from exc
+    return replace(problem, boundary=boundary)
 
 
 def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:

@@ -184,10 +184,12 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
     dx = cfg.domain_length / nx
     x_centers = (np.arange(nx) + 0.5) * dx
     heat_capacity = problem.k * dx / problem.d  # per area
+    conductance = problem.k / dx  # interior face conductance
     t0 = cfg.start_fraction * cfg.t_end
 
     # u past the block and w are scratch; v_i overwrites u_i in the sweep.
-    lam = (problem.gamma * x_centers**problem.alpha * dx).tolist()
+    with np.errstate(over="ignore"):
+        lam = (problem.gamma * x_centers**problem.alpha * dx).tolist()
     u = [0.0] * nx
     w = [0.0] * nx
     h_m = 0.0
@@ -202,6 +204,14 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
         u[:m] = sol.temperature(x_centers[:m], t0).tolist()
         h_m = (s0 / dx - m) * lam[m]
 
+    # lam grows with the cell index: every front cell's lies in [lam[m], lam[-1]].
+    for name, value in (("heat capacity k * dx / d", heat_capacity),
+                        ("face conductance k / dx", conductance),
+                        (f"latent heat gamma * x**alpha * dx of cell {m}", lam[m]),
+                        (f"latent heat gamma * x**alpha * dx of cell {nx - 1}", lam[-1])):
+        if not 0.0 < value < math.inf:
+            raise OverflowError(f"the {name} is {value} at dx={dx}, outside double range")
+
     def energy() -> float:
         return math.fsum(lam[:m]) + heat_capacity * math.fsum(u[:m]) + h_m
 
@@ -211,14 +221,8 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
     snap_times = iter(np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist())
     snapshots: list[tuple[float, np.ndarray]] = []
 
-    # lam grows with the cell index, so no later front cell has a zero one.
     lam_m = lam[m]
-    if lam_m == 0.0:
-        raise OverflowError(f"the latent heat gamma * x**alpha * dx of cell {m} "
-                            f"underflows to 0 at dx={dx}")
-
     step_scale = 2.0 * _DT_SAFETY * dx
-    conductance = problem.k / dx  # interior face conductance
     m_start = m
     t, t_end = t0, cfg.t_end
     t_snap = next(snap_times)
@@ -267,6 +271,8 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
     energy_end = energy()
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)
     drift = abs(energy_end - energy_start - energy_in) / drift_scale
+    if not math.isfinite(drift):
+        raise OverflowError(f"the heat balance leaves double range (drift {drift})")
     return OracleResult(
         problem=problem,
         config=cfg,

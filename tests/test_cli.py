@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -360,6 +361,32 @@ def test_field_melt_matches_mpmath_at_large_alpha_nu(tmp_path, args, problem):
             assert abs(psi - ref) <= 1e-12 * ref, (x, t, psi, ref)
 
 
+def numerical_failure(capsys) -> str:
+    """The detail of the one numerical-failure record on stderr."""
+    records = capsys.readouterr().err.splitlines()
+    assert len(records) == 1
+    record = json.loads(records[0])
+    assert record["error"] == "numerical-failure"
+    return record["detail"]
+
+
+@pytest.mark.parametrize("args,flag", [
+    # 1.2 s(tmax) and 4 s(t_end) underflow to 0: the user gave neither flag,
+    # yet each exited 2 as a usage error naming it.
+    (["field", "--alpha", "0", "--gamma", "2.6043369692917916e+23",
+      "--d", "4.448920901523189e-11", "--k", "2.617894658191209e-21",
+      "--h0", "8.114254119138512e-77", "--tinf", "2.6409599747429783e-164",
+      "--nx", "5", "--nt", "3", "--tmax", "2.461715496391862e-199"], "--xmax"),
+    (["verify", "--alpha", "0", "--gamma", "6.429532013622394e+113",
+      "--d", "2.0602618417080938e-234", "--k", "3.695370525659115e-243",
+      "--c", "2.0055238872895028e-193", "--nx-oracle", "60",
+      "--t-end", "2.99533726438594e-70"], "--domain-length"),
+])
+def test_computed_default_outside_double_range_exits_3(capsys, args, flag):
+    assert run(args) == 3
+    assert f"the default {flag}" in numerical_failure(capsys)
+
+
 def test_field_bad_grid_exits_2():
     assert run(["field", *FIG9_ARGS, "--nx", "1"]) == 2
     assert run(["field", *FIG9_ARGS, "--tmax", "-1"]) == 2
@@ -450,6 +477,25 @@ def test_equiv_threshold_violation_reports_threshold(capsys):
     assert "threshold" in record["detail"]
 
 
+@pytest.mark.parametrize("args,map_name,datum", [
+    # The solved face temperature A underflows to 0.
+    (["--alpha", "0", "--gamma", "8.616368362190141e+43", "--d", "3.695928514328216e-279",
+      "--k", "1.0738239933066773e+218", "--h0", "7589.703272335521",
+      "--tinf", "1.2611898901570925e-28", "--to", "temperature"],
+     "convective_to_temperature", "t0"),
+    # h0 = J / (A - t_inf) overflows.
+    (["--alpha", "0.4", "--gamma", "1.937150531184167e-142", "--d", "1.296260634579701e-101",
+      "--k", "2.755412181459215e+190", "--t0", "4.0335872296182303e+124",
+      "--to", "convective", "--tinf", "1.2907578894309944e+191"],
+     "temperature_to_convective", "h0"),
+])
+def test_equiv_computed_datum_outside_double_range_exits_3(capsys, args, map_name, datum):
+    # The user never gave the datum, yet it was reported as invalid data.
+    assert run(["equiv", *args]) == 3
+    detail = numerical_failure(capsys)
+    assert map_name in detail and f"{datum} must be" in detail
+
+
 def test_equiv_missing_target_datum_exits_2():
     assert run(["equiv", "--alpha", "1", "--t0", "1", "--to", "convective"]) == 2
 
@@ -510,12 +556,79 @@ def test_verify_small_domain_exits_3(capsys):
         # The front cell's latent heat underflowed to 0: a ZeroDivisionError.
         (["--alpha", "2", "--t0", "1", "--t-end", "1e-250"], "latent heat"),
         (["--alpha", "2", "--c", "1", "--t-end", "1e-250"], "latent heat"),
+        # k * dx / d underflows to 0: a ZeroDivisionError when a cell melted.
+        (["--alpha", "0", "--gamma", "6.484635275290033e+131", "--d", "1.6295036599880675e+138",
+          "--k", "1.2475351221319354e-197", "--t0", "2.156440632642995e+99",
+          "--t-end", "8.407991796155201e+31"], "heat capacity"),
+        # x_centers**alpha overflows: a RuntimeWarning, then exit 2 for nan in the JSON.
+        (["--alpha", "2", "--gamma", "2.384577139409586e-213", "--d", "2.693844104225944e+287",
+          "--k", "9.876967585749186e+82", "--t0", "1.7216093109904598e-176",
+          "--t-end", "7.570726778746863e+269"], "latent heat"),
+        # The heat let in overflows: exit 2 for inf in the JSON.
+        (["--alpha", "1", "--gamma", "2.0362974503410035e+249", "--d", "1.5523094173510963e-127",
+          "--k", "5.187027118508832e-249", "--h0", "9.74890713996387e+220",
+          "--tinf", "8.080654494046517e+191", "--t-end", "1.059370657381842e+202"],
+         "heat balance"),
     ]
     for args, cause in cases:
         assert run(["verify", *args, "--nx-oracle", "60"]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "numerical-failure"
         assert cause in record["detail"]
+
+
+# ---- the wide domain ----
+
+
+_SWEEP_FAMILIES = {"convective": ("h0", "tinf"), "temperature": ("t0",), "flux": ("c",)}
+
+
+def wide_domain_runs(n: int = 400, seed: int = 5):
+    """Seeded command lines over the closed form's range: alpha in [0, 60],
+    and every datum and time 10**U with U uniform in [-300, 300]."""
+    rng = random.Random(seed)
+
+    def wide() -> str:
+        return repr(10 ** rng.uniform(-300, 300))
+
+    for _ in range(n):
+        family = rng.choice(list(_SWEEP_FAMILIES))
+        alpha = rng.choice((0.0, 0.4, 1.0, 2.0, rng.uniform(0, 60)))
+        data = {name: wide() for name in ("gamma", "d", "k", "h0", "tinf", "t0", "c")}
+        args = ["--alpha", repr(alpha)]
+        for name in ("gamma", "d", "k", *_SWEEP_FAMILIES[family]):
+            args += [f"--{name}", data[name]]
+        command = rng.choice(("solve", "field", "equiv", "sweep", "verify"))
+        if command == "field":
+            args += ["--nx", "5", "--nt", "3", "--tmax", wide()]
+        elif command == "equiv" and family == "convective":
+            args += ["--to", rng.choice(("temperature", "flux"))]
+        elif command == "equiv":
+            args += ["--to", "convective", "--tinf", wide()]
+        elif command == "sweep":
+            args += ["--vary", "alpha", "--values", "0.5,1"]
+        elif command == "verify":
+            args += ["--nx-oracle", "60", "--t-end", wide()]
+        yield [command, *args]
+
+
+def test_wide_domain_runs_solve_or_fail_with_a_record(capsys):
+    # Every admissible problem solves or fails with a true error.  Of these
+    # 400 runs, 45 failed here: 13 RuntimeWarnings (inf in the field), 6
+    # ZeroDivisionErrors in the oracle, and 26 exit-2 records for valid
+    # input (computed equiv data and defaults, and inf in verify's JSON).
+    # Exit 2 stays only for a --tinf at or below the equiv threshold.
+    for argv in wide_domain_runs():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        if code in (2, 3):
+            records = err.splitlines()
+            assert len(records) == 1, (argv, err)
+            record = json.loads(records[0])
+            assert code == 3 or "must exceed" in record["detail"], (argv, record)
+        if argv[0] == "field":
+            assert "inf" not in out and "nan" not in out, argv
 
 
 # ---- config file and precedence ----

@@ -803,6 +803,18 @@ def test_continuation_beyond_double_range_raises():
         sol.temperature(59.0, 1.0)
 
 
+@pytest.mark.parametrize("method", ["temperature", "temperature_flux"])
+def test_field_beyond_double_range_in_the_melt_raises(method):
+    # t**(alpha/2) f is about 1e357 at the face: u was inf with a RuntimeWarning.
+    problem = ProblemSpec(alpha=33.53732784164825,
+                          boundary=Temperature(t0=1.215116349774339e-103),
+                          gamma=3.51697125060409e-243, d=1.283686343247775e19,
+                          k=1.719652334063203e163)
+    sol = solve_front(problem)
+    with pytest.raises(OverflowError, match="in the melt"):
+        getattr(sol, method)(0.0, 8.098127378786578e+27)
+
+
 def test_evaluator_domain_errors():
     sol = solve_front(FIG9)
     with pytest.raises(ValueError):

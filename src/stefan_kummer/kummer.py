@@ -2,8 +2,9 @@
 
 Provides the confluent hypergeometric function M(a, b, z) of the first
 kind, its z-derivative, the logarithm of the scaled function e^-z M
-(with its z-derivative times z) for a, b > 0 and z >= 0, which unlike M
-never overflows, checked wrappers of ``math.gamma`` and ``math.erfc``, and
+(with its first two log-derivatives) for a, b > 0 and z >= 0, which unlike
+M never overflows, alone or for the two series of the front equation summed
+in one pass, checked wrappers of ``math.gamma`` and ``math.erfc``, and
 the repeated integrals i^n erfc used by the integer-exponent closed forms.
 
 All functions here take floats and are pure functions of their
@@ -20,6 +21,7 @@ __all__ = [
     "kummer_m",
     "kummer_m_derivative",
     "log_kummer_m_scaled",
+    "log_kummer_m_scaled_pair",
     "gamma_fn",
     "erfc",
     "iterated_erfc",
@@ -74,9 +76,10 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
 
 
-def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
-    """(L, z L') with L = log(e^-z M(a, b, z)) = log M - z, for a, b > 0
-    and finite z >= 0, where every term of the series is positive.
+def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, float]:
+    """(L, z L', d(z L')/dy) with L = log(e^-z M(a, b, z)) = log M - z and
+    y = log(z) / 2, for a, b > 0 and finite z >= 0, where every term of the
+    series is positive.
 
     Above z = 30 the large-argument expansion of e^-z M = M(b-a, b, -z)
     (DLMF 13.2.39, 13.7.2)
@@ -89,6 +92,7 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
     Elsewhere the series is summed with a running rescale (``_m_series``)
     and z subtracted.  L is good to about 1e-16 of max(1, |L|) above z = 30
     and of max(1, z) below, and z L' + z = z M'/M to about 1e-14 relative.
+    d(z L')/dy sums no more terms: see ``_curvature``.
     """
     if not (a > 0.0 and b > 0.0 and 0.0 <= z < math.inf):
         raise ValueError(
@@ -111,10 +115,65 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
         omitted = (math.lgamma(a) + (math.lgamma(1.0 + a - b) if a > b else 0.0)
                    - z + (b - 2.0 * a) * log_z)
         if abs(term) <= _SERIES_RTOL * total and omitted < math.log(_SERIES_RTOL):
-            return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z
-                    + math.log(total), a - b - slope / total)
+            zl = a - b - slope / total
+            return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z + math.log(total),
+                    zl, _curvature(a, b, z, zl))
     m, zm, e = _m_series(a, b, z)
-    return math.log(m) + e * math.log(2.0) - z, zm / m - z
+    zl = zm / m - z
+    return math.log(m) + e * math.log(2.0) - z, zl, _curvature(a, b, z, zl)
+
+
+def _curvature(a: float, b: float, z: float, zl: float) -> float:
+    """d(z L')/dy at y = log(z) / 2 from l = z L' alone.  With the moments
+    S_k = sum_n n**k t_n of the terms of M, l = S_1/S_0 - z and
+    d(z L')/dy = 2 (S_2/S_0 - (S_1/S_0)**2) - 2z, and Kummer's equation
+    z M'' + (b - z) M' - a M = 0 (DLMF 13.2.1) gives
+    S_2 = a z S_0 + (1 - b + z) S_1.  Written in l, the terms in z**2
+    cancel: 2 (z (a - b - l) + (1 - b) l - l**2).  The rounding of l, which
+    is O(z) where the expansion is not taken, enters times z."""
+    return 2.0 * (z * (a - b - zl) + (1.0 - b) * zl - zl * zl)
+
+
+def log_kummer_m_scaled_pair(a: float, z: float) -> tuple[float, ...]:
+    """``log_kummer_m_scaled(a + 1, 3/2, z) + log_kummer_m_scaled(a + 1/2, 1/2, z)``,
+    the logs of the front equation's two series, for a > -1/2.
+
+    Up to z = 30 both series are summed in one loop, each with the terms
+    and the stop of ``_m_series``, so each value is the one that the two
+    calls return.  Above z = 30, and where a sum reaches 2**500 (large a),
+    the two calls are made.
+    """
+    if not (a > -0.5 and 0.0 <= z <= 30.0):
+        return log_kummer_m_scaled(a + 1.0, 1.5, z) + log_kummer_m_scaled(a + 0.5, 0.5, z)
+    a_o, a_e = a + 1.0, a + 0.5
+    term_o = total_o = term_e = total_e = 1.0
+    slope_o = slope_e = 0.0
+    open_o = open_e = True
+    # Steps of _m_series at b = 3/2 and at b = 1/2, whose terms are all
+    # positive here; a sum past 2**500 (inf at worst) is caught after the loop.
+    for s in range(_SERIES_TERM_CAP):
+        n = s + 1.0
+        if open_o:
+            term_o *= (a_o + s) / ((1.5 + s) * n) * z
+            total_o += term_o
+            slope_o += n * term_o
+            open_o = not (term_o <= _SERIES_RTOL * total_o and (term_o == 0.0 or (
+                z * (a_o + n) <= 0.5 * (1.5 + n) * (n + 1.0) if a_o >= 1.5
+                else z <= 0.5 * (n + 1.0))))
+        if open_e:
+            term_e *= (a_e + s) / ((0.5 + s) * n) * z
+            total_e += term_e
+            slope_e += n * term_e
+            open_e = not (term_e <= _SERIES_RTOL * total_e and (term_e == 0.0 or (
+                z * (a_e + n) <= 0.5 * (0.5 + n) * (n + 1.0) if a_e >= 0.5
+                else z <= 0.5 * (n + 1.0))))
+        elif not open_o:
+            if total_o < 2.0**500 and total_e < 2.0**500:
+                zl_o, zl_e = slope_o / total_o - z, slope_e / total_e - z
+                return (math.log(total_o) - z, zl_o, _curvature(a_o, 1.5, z, zl_o),
+                        math.log(total_e) - z, zl_e, _curvature(a_e, 0.5, z, zl_e))
+            break
+    return log_kummer_m_scaled(a + 1.0, 1.5, z) + log_kummer_m_scaled(a + 0.5, 0.5, z)
 
 
 def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:

@@ -35,13 +35,16 @@ takes logs: in y = log x, with z = x^2, it finds the root of
 
 a relative residual of the front equation.  log(C g) is a sum of logs of
 the data and log D~ is summed from ``log_kummer_m_scaled`` (the log of
-e^-z M, of size log z) of its (one or two) positive terms, so G is finite
-for every y.  G is concave and decreasing, so Newton's method converges
-monotonically after its first step.  It starts at the root of a model of G
-that replaces each log of e^-z M by its leading term for large z, which
-sums no series, and its last step is the one that the quadratic rate
-predicts to be below eps, or the one from |G| within its rounding (at least
-1e-12).  The evaluation that gives the coefficients by Cramer's rule,
+e^-z M, of size log z) of its (one or two) positive terms, both summed in
+one loop (``log_kummer_m_scaled_pair``) where both are needed, so G is
+finite for every y.  The same sums give G' and G''.  G is concave and
+decreasing, so Newton's method converges monotonically after its first
+step.  It starts at the root of a model of G that replaces each log of
+e^-z M by its leading term for large z, which sums no series.  Where
+|G G''| <= G'**2, near the root, each step is Halley's third-order step,
+and elsewhere Newton's.  The last step is the one that the cubic rate
+predicts to be below eps, or the one from |G| within its rounding (at
+least 1e-12).  The evaluation that gives the coefficients by Cramer's rule,
 A = g g_o / D and B = -g g_e / D, also gives G there, and confirms the root.
 
 The field is not summed from that formula, whose two terms grow like
@@ -68,7 +71,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
+from .kummer import (NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled,
+                     log_kummer_m_scaled_pair)
 
 __all__ = [
     "BracketNotFoundError",
@@ -95,6 +99,8 @@ _EPS = sys.float_info.epsilon
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
+# (L, z L', d(z L')/dy) in place of a series whose coefficient in D is 0.
+_UNSUMMED = (0.0, 0.0, 0.0)
 # Taylor order of the pieces of the field profile.
 _PROFILE_ORDER = 30
 # The field is continued past the front up to eta = max(nu, _MAX_ETA): the
@@ -214,16 +220,20 @@ def _front_g(problem: ProblemSpec):
     """Closures ``front(y, coefficients=False)`` and ``start()`` of y = log x
     that share the logs of the data, the one place where D is formed.
     ``front`` returns G(y) = log(C g) - z - log D~(e^y) - (alpha+1) y with
-    z = x^2, G'(y) and the rounding of G (4 eps times its terms' sizes, at
-    least 1e-12) from the series D needs, and with ``coefficients`` also A
-    and B from both series.  ``start`` returns the root of a model of G that
-    sums no series.
+    z = x^2, (G'(y), G''(y)) and the rounding of G (4 eps times its terms'
+    sizes, at least 1e-12) from the series D needs, and with
+    ``coefficients`` also A and B from both series.  ``start`` returns the
+    root of a model of G that sums no series.
 
-    D~ = e^-z D = p x M~_o - q kappa M~_e, M~ = e^-z M, with logs L and z L'
-    from ``log_kummer_m_scaled``.  log D~ = t + log1p(w) from the logs t_o,
-    t_e of its terms, t the larger and w = e^(t' - t) <= 1, and G' = -2z
-    - (dt/dy + w dt'/dy) / (1 + w) - (alpha+1), dt_o/dy = 1 + 2 z L_o',
-    dt_e/dy = 2 z L_e'.  Cramer's rule on p A + q kappa B = g and
+    D~ = e^-z D = p x M~_o - q kappa M~_e, M~ = e^-z M, with logs L, z L'
+    and d(z L')/dy from ``log_kummer_m_scaled`` (``log_kummer_m_scaled_pair``
+    where both series are summed).  log D~ = t + log1p(w) from the logs
+    t_o = log p + y + L_o and t_e = log(|q| kappa) + L_e of its terms, t the
+    larger, t' the other and w = e^(t' - t) <= 1.  With pi = 1 / (1 + w),
+    G' = -2z - (pi dt/dy + (1 - pi) dt'/dy) - (alpha+1) and
+    G'' = -4z - (pi d2t + (1 - pi) d2t' + pi (1 - pi) (dt/dy - dt'/dy)**2),
+    where dt_o/dy = 1 + 2 z L_o', dt_e/dy = 2 z L_e' and d2t = 2 d(z L')/dy
+    of the term's series.  Cramer's rule on p A + q kappa B = g and
     A g_e + B g_o = 0 gives A = g g_o / D = g e^(y + L_o - log D~) and
     B = -g g_e / D = -g e^(L_e - log D~) (``_times_exp``).  So kappa enters
     through log D~ only, A = g exactly where q = 0, and a coefficient beyond
@@ -247,41 +257,50 @@ def _front_g(problem: ProblemSpec):
     log_p = math.log(p) if p else -math.inf
     log_qk = math.log(-q) + log_kappa if q else -math.inf
 
-    def residual(y, z, lm_o, zm_o, lm_e, zm_e):
-        """G, G' and log D~ from the scaled logs of both series."""
-        (hi, d_hi), (lo, d_lo) = sorted(
-            ((log_p + y + lm_o, 1.0 + 2.0 * zm_o), (log_qk + lm_e, 2.0 * zm_e)), reverse=True)
+    def residual(y, z, lm_o, zm_o, cm_o, lm_e, zm_e, cm_e):
+        """G, (G', G'') and log D~ from the scaled logs of both series."""
+        hi, lo = log_p + y + lm_o, log_qk + lm_e
+        d_hi, d_lo, c_hi, c_lo = 1.0 + 2.0 * zm_o, 2.0 * zm_e, 2.0 * cm_o, 2.0 * cm_e
+        if hi < lo:
+            hi, lo, d_hi, d_lo, c_hi, c_lo = lo, hi, d_lo, d_hi, c_lo, c_hi
         w = math.exp(lo - hi)
         log_d = hi + math.log1p(w)
         value = log_cg - (log_d + z) - (alpha + 1.0) * y
-        return value, -2.0 * z - (d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0), log_d
+        slope = -2.0 * z - (d_hi + w * d_lo) / (1.0 + w) - (alpha + 1.0)
+        curvature = -4.0 * z - (c_hi + w * (c_lo + (d_hi - d_lo) ** 2 / (1.0 + w))) / (1.0 + w)
+        return value, (slope, curvature), log_d
 
     def front(y: float, coefficients: bool = False):
         z = math.exp(2.0 * y)
-        lm_o, zm_o = log_kummer_m_scaled(a + 1.0, 1.5, z) if p or coefficients else (0.0, 0.0)
-        lm_e, zm_e = log_kummer_m_scaled(a + 0.5, 0.5, z) if q or coefficients else (0.0, 0.0)
-        value, slope, log_d = residual(y, z, lm_o, zm_o, lm_e, zm_e)
+        # (L, z L', d(z L')/dy) of the odd series, then of the even one.
+        if coefficients or p and q:
+            logs = log_kummer_m_scaled_pair(a, z)
+        elif p:
+            logs = log_kummer_m_scaled(a + 1.0, 1.5, z) + _UNSUMMED
+        else:
+            logs = _UNSUMMED + log_kummer_m_scaled(a + 0.5, 0.5, z)
+        value, slopes, log_d = residual(y, z, *logs)
         rounding = max(_RESIDUAL_TOL, 4.0 * _EPS
                        * (abs(log_cg) + z + abs(log_d) + (alpha + 1.0) * abs(y)))
         if not coefficients:
-            return value, slope, rounding
-        return (value, slope, rounding,
-                _times_exp(g, log_g, y + lm_o - log_d), -_times_exp(g, log_g, lm_e - log_d))
+            return value, slopes, rounding
+        return (value, slopes, rounding,
+                _times_exp(g, log_g, y + logs[0] - log_d), -_times_exp(g, log_g, logs[3] - log_d))
 
     # (lgamma(b) - lgamma(a), a - b) of the odd and the even series.
     leading_o = (math.lgamma(1.5) - math.lgamma(a + 1.0), a - 0.5)
     leading_e = (math.lgamma(0.5) - math.lgamma(a + 0.5), a)
 
     def model(leading, y):
-        """(L, z L') of the model of one series at log z = 2 y."""
+        """(L, z L', d(z L')/dy) of the model of one series at log z = 2 y."""
         value = leading[0] + 2.0 * leading[1] * y
-        return (value, leading[1]) if leading[1] > 0.0 and value > 0.0 else (0.0, 0.0)
+        return (value, leading[1], 0.0) if leading[1] > 0.0 and value > 0.0 else _UNSUMMED
 
     def start() -> float:
         y = 0.5 * math.log(max(1.0, log_cg - max(log_p, log_qk)))
         for _ in range(_MAX_ITERATIONS):
-            value, slope, _ = residual(y, math.exp(2.0 * y), *model(leading_o, y),
-                                       *model(leading_e, y))
+            value, (slope, _), _ = residual(y, math.exp(2.0 * y), *model(leading_o, y),
+                                            *model(leading_e, y))
             y -= value / slope
             if abs(value) <= _MODEL_TOL:
                 return y
@@ -488,30 +507,37 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
     from left of the root lands right of it, and from there Newton's method
     converges monotonically.  The steps start at the root of a model of G
     that sums no series (``_front_g``), with no search for a point right of
-    the root, and use the slope that comes with the series.  The last step
-    is the one from |G| within its rounding (at least 1e-12: G is a
-    relative residual, so one stop serves every scale of nu), or the one
-    after which the quadratic rate predicts a step below eps: the next |G|,
-    |G|**3 / G_prev**2, below eps |G'|.  The coefficients are evaluated
+    the root, and use the slope and the curvature that come with the
+    series.  Where |G G''| <= G'**2 the step is Halley's (Traub 1964),
+    y -= 2 G G' / (2 G'**2 - G G''), of third order and between 2/3 and 2
+    Newton steps long; elsewhere, far from the root, it is Newton's.  The
+    last step is the one from |G| within its rounding (at least 1e-12: G is
+    a relative residual, so one stop serves every scale of nu), or the one
+    after which the cubic rate predicts a step below eps: the next |G|,
+    G**4 / |G_prev|**3, below eps |G'|.  The coefficients are evaluated
     where it lands, and that evaluation gives G again: the solve ends only
     if this |G| is within its rounding, and steps on otherwise, so the
     returned nu meets the stop.  ``SolverReport.iterations`` counts the
-    Newton steps, and ``residual`` is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
+    steps, and ``residual`` is expm1(G) = lhs / nu**(alpha+1) - 1 at nu.
     """
     front, start = _front_g(problem)
     y = start()
-    g, slope, rounding = front(y)
+    g, (slope, curvature), rounding = front(y)
     previous = 0.0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        y -= g / slope
-        last = abs(g) <= rounding or abs(g) ** 3 <= -_EPS * slope * previous**2
+        bend = g * curvature
+        if abs(bend) <= slope * slope:
+            y -= 2.0 * g * slope / (2.0 * slope * slope - bend)
+        else:
+            y -= g / slope
+        last = abs(g) <= rounding or g**4 <= -_EPS * slope * abs(previous) ** 3
         previous = g
         if last:
-            g, slope, rounding, coeff_even, coeff_odd = front(y, coefficients=True)
+            g, (slope, curvature), rounding, coeff_even, coeff_odd = front(y, coefficients=True)
             if abs(g) <= rounding:
                 break
         else:
-            g, slope, rounding = front(y)
+            g, (slope, curvature), rounding = front(y)
     else:
         raise NonConvergenceError(f"front-coefficient iteration did not converge in "
                                   f"{_MAX_ITERATIONS} iterations (last log residual {g})")

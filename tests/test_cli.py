@@ -569,12 +569,50 @@ def test_verify_small_domain_exits_3(capsys):
           "--k", "5.187027118508832e-249", "--h0", "9.74890713996387e+220",
           "--tinf", "8.080654494046517e+191", "--t-end", "1.059370657381842e+202"],
          "heat balance"),
+        # k dt / dx overflowed to inf: every cell melted in one step, and the
+        # record read "front reached the domain end" (nu 1.7e-85).
+        (["--alpha", "0", "--gamma", "1.4858905820546746e+100", "--d", "7.21833045216101e+20",
+          "--k", "1.1968951093145203e+246", "--c", "6.601333133298238e+25",
+          "--t-end", "3.773240374458542e+125"], "k dt / dx"),
+        # c t**p = 1e312 at t = 1e8 on the first step.
+        (["--alpha", "2", "--c", "1e300", "--t-end", "1e10"], "flux inflow c t**p"),
     ]
     for args, cause in cases:
         assert run(["verify", *args, "--nx-oracle", "60"]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "numerical-failure"
         assert cause in record["detail"]
+
+
+
+def test_verify_warm_start_independent_of_time_scale(tmp_path):
+    # verify's default domain makes s0 / dx exactly nx / 40, and the last bit
+    # of the quotient decided whether cell 5 started melted: at 1e280, 1e-30
+    # and 7.3 the run took 276 Newton iterations and read front error
+    # 2.1494e-3, at 1, 1e-300 and 0.37 275 and 1.5443e-3.
+    reports = []
+    for t_end in ("1e280", "1e-30", "7.3", "1", "1e-300", "0.37"):
+        out = tmp_path / f"verify-{t_end}.json"
+        assert run(["verify", *FIG9_ARGS, "--nx-oracle", "200", "--t-end", t_end,
+                    "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    for report in reports:
+        assert (report["n_steps"], report["newton_iterations"]) == (231, 275), report
+        assert report["max_front_err"] == pytest.approx(1.5443e-3, rel=1e-4), report
+
+
+def test_verify_flux_inflow_where_only_t_power_overflows(tmp_path):
+    # t**p = 6e357 raised a bare "(34, 'Numerical result out of range')",
+    # yet c t**p = 6e79 lies in double range and the oracle runs through.
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--alpha", "2", "--gamma", "6.629616070634675e-33",
+                "--d", "1.674540584913148e+127", "--k", "6.157872343922865e-59",
+                "--c", "9.936638994799988e-278", "--nx-oracle", "60",
+                "--t-end", "3.355811545027944e+238", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert code == (0 if payload["passed"] else 1)
+    assert payload["max_front_err"] <= payload["front_tol"]
+    assert payload["energy_balance_drift"] <= payload["drift_tol"]
 
 
 # ---- the wide domain ----

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stefan_kummer import (
     kummer_m_derivative,
 )
 from stefan_kummer import kummer as kummer_module
-from stefan_kummer.kummer import log_kummer_m_scaled
+from stefan_kummer.kummer import log_kummer_m_scaled, log_kummer_m_scaled_pair
 
 from _oracles import direct_series_m
 
@@ -106,7 +107,7 @@ def test_log_form_against_arbitrary_precision(monkeypatch):
             b = r.choice((0.5, 1.5))
             z = math.exp(r.uniform(math.log(1e-6), math.log(1e5)))
             above += z > 30.0
-            scaled, zm = log_kummer_m_scaled(a, b, z)
+            scaled, zm, curvature = log_kummer_m_scaled(a, b, z)
             m = mp.hyp1f1(a, b, z)
             ref_log = float(mp.log(m))
             ref_scaled = float(mp.log(m) - z)
@@ -114,11 +115,24 @@ def test_log_form_against_arbitrary_precision(monkeypatch):
             assert abs(scaled + z - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), (a, b, z)
             assert abs(scaled - ref_scaled) <= 1e-14 * max(1.0, abs(ref_scaled)), (a, b, z)
             assert abs(zm + z - ref_zm) <= 1e-13 * ref_zm, (a, b, z)
+            # 1e-12 of the front residual's G'', which holds -4z.
+            ref_curvature = _mp_curvature(mp, a, b, z)
+            assert abs(curvature - ref_curvature) <= 1e-12 * (1.0 + z), (a, b, z)
     assert 0 < sum(z > 30.0 for z in series_calls) < above
 
 
 def _log_uniform(r, lo, hi):
     return math.exp(r.uniform(math.log(lo), math.log(hi)))
+
+
+def _mp_curvature(mp, a, b, z):
+    """d(z L')/dy, y = log(z) / 2, of L = log M(a, b, z) - z, from the
+    moments z M' and z (z M')' = z M' + z**2 M'' of the series."""
+    a, b, z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+    m = mp.hyp1f1(a, b, z)
+    zm = z * a / b * mp.hyp1f1(a + 1, b + 1, z)
+    z2m = zm + z * z * a * (a + 1) / (b * (b + 1)) * mp.hyp1f1(a + 2, b + 2, z)
+    return float(2 * (z2m / m - (zm / m) ** 2) - 2 * z)
 
 
 def test_series_stop_against_arbitrary_precision():
@@ -146,7 +160,7 @@ def test_series_stop_against_arbitrary_precision():
             if a > 0.0:
                 # every term positive: relative to M itself
                 assert abs(kummer_m(a, b, z) - ref) <= 1e-14 * ref, (a, b, z)
-                scaled, zm = log_kummer_m_scaled(a, b, z)
+                scaled, zm, _ = log_kummer_m_scaled(a, b, z)
                 ref_log = mp.log(ref)
                 assert abs(scaled + z - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), (a, b, z)
                 ref_zm = z * mp.mpf(a) / b * mp.hyp1f1(mp.mpf(a) + 1, b + 1, z) / ref
@@ -199,7 +213,7 @@ def test_odd_combination_at_small_argument():
 
 
 def test_log_form_domain():
-    assert log_kummer_m_scaled(0.7, 1.5, 0.0) == (0.0, 0.0)
+    assert log_kummer_m_scaled(0.7, 1.5, 0.0) == (0.0, 0.0, 0.0)
     for args in [(0.0, 0.5, 1.0), (0.7, 0.0, 1.0), (0.7, 0.5, -1.0),
                  (0.7, 0.5, math.inf), (0.7, 0.5, math.nan)]:
         with pytest.raises(ValueError):
@@ -217,6 +231,31 @@ def test_rescaled_series_past_2_to_500():
     with mp.workdps(40):
         ref = float(mp.log(mp.hyp1f1(1.2, 1.5, 800)))
     assert log_kummer_m_scaled(1.2, 1.5, 800.0)[0] + 800.0 == pytest.approx(ref, rel=1e-15)
+
+
+def test_pair_matches_two_calls():
+    # One loop over both series of the front equation gives what two calls
+    # give: log-uniform z in [1e-300, 30] and a in (0, 30], then sums past
+    # 2**500 (large a, where the pair makes the two calls) and z above 30.
+    eps = sys.float_info.epsilon
+    r = random.Random(12)
+    cases = [(_log_uniform(r, 1e-12, 30.0), _log_uniform(r, 1e-300, 30.0)) for _ in range(400)]
+    cases += [(a, z) for a in (1e3, 2e4, 1e5) for z in (1.0, 12.0, 30.0)]
+    cases += [(_log_uniform(r, 1e-3, 30.0), _log_uniform(r, 30.0, 1e4)) for _ in range(50)]
+    past = 0
+    for a, z in cases:
+        pair = log_kummer_m_scaled_pair(a, z)
+        for got, (b, shift) in zip((pair[:3], pair[3:]), ((1.5, 1.0), (0.5, 0.5))):
+            ref = log_kummer_m_scaled(a + shift, b, z)
+            assert abs(got[0] - ref[0]) <= 4.0 * eps * max(1.0, abs(ref[0])), (a, z, b)
+            assert abs(got[1] - ref[1]) <= 1e-14 * abs(ref[1]), (a, z, b)
+            assert abs(got[2] - ref[2]) <= 1e-14 * abs(ref[2]), (a, z, b)
+            past += z <= 30.0 and ref[0] + z > 500.0 * math.log(2.0)
+    assert past >= 10
+    with pytest.raises(ValueError):
+        log_kummer_m_scaled_pair(-0.5, 1.0)
+    with pytest.raises(ValueError):
+        log_kummer_m_scaled_pair(1.0, math.nan)
 
 
 def test_derivative_of_constant_is_zero():

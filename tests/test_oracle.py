@@ -16,6 +16,7 @@ from stefan_kummer import (
     run_oracle,
     solve_front,
 )
+from stefan_kummer import oracle
 
 from _oracles import bisect, classical_stefan_residual
 
@@ -251,6 +252,19 @@ def test_comparison_report_fields():
     report = ComparisonReport(max_front_err=0.1, max_field_err=0.2)
     assert report.max_front_err == 0.1 and report.max_field_err == 0.2
 
+
+
+def test_flux_inflow_past_the_range_of_t_power():
+    # t**1.5 overflows at t = 1e250 while c t**1.5 = 1e75 does not: the heat
+    # let in over the step is then summed in logs.
+    problem = ProblemSpec(alpha=2.0, boundary=Flux(c=1e-300))
+    inflow = oracle._face_inflow(problem, 1.0)
+    t, dt = 1e250, 1e248
+    a, b = inflow(t, dt)
+    assert b == 0.0
+    assert a == pytest.approx(1e75 * (1.01**1.5 - 1.0) / 1.5, rel=1e-12)
+    with pytest.raises(OverflowError, match="flux inflow c t"):
+        oracle._face_inflow(ProblemSpec(alpha=2.0, boundary=Flux(c=1e100)), 1.0)(t, dt)
 
 def test_cell_melts_fully_within_one_step():
     # A coarse cold start: the first step melts more than one cell from

@@ -358,18 +358,24 @@ def test_coefficients_meet_both_conditions_at_extremes(p):
 def test_series_evaluation_budget(monkeypatch):
     import stefan_kummer.stefan as stefan
 
+    # Series sums: the pair kernel sums two.
     calls = []
-    real = stefan.log_kummer_m_scaled
+    real, real_pair = stefan.log_kummer_m_scaled, stefan.log_kummer_m_scaled_pair
 
     def counting(a, b, z):
         calls.append(z)
         return real(a, b, z)
 
+    def counting_pair(a, z):
+        calls.extend((z, z))
+        return real_pair(a, z)
+
     monkeypatch.setattr(stefan, "log_kummer_m_scaled", counting)
+    monkeypatch.setattr(stefan, "log_kummer_m_scaled_pair", counting_pair)
     cases = [
-        (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 8),
-        (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 5),
-        (ProblemSpec(alpha=2.0, boundary=Flux(c=1.0)), 6),
+        (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 6),
+        (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 4),
+        (ProblemSpec(alpha=2.0, boundary=Flux(c=1.0)), 5),
     ]
     for p, budget in cases:
         calls.clear()
@@ -623,6 +629,78 @@ def _wide_sample(n, seed=7):
 
     return [(_wide_spec(r.choice(sorted(_WIDE_BOUNDARIES)), r.uniform(0.0, 50.0), u), u(0.1, 10.0))
             for _ in range(n)]
+
+
+def _recording_front_g(monkeypatch, visited, starts=None):
+    """Patch ``stefan._front_g`` so that every front evaluation appends its
+    (y, G, (G', G'')) to ``visited``; with ``starts``, a map of problems to
+    y, the solve starts there instead of at the model's root."""
+    import stefan_kummer.stefan as stefan
+
+    real = stefan._front_g
+
+    def recording(problem):
+        front, start = real(problem)
+
+        def wrapped(y, coefficients=False):
+            result = front(y, coefficients)
+            visited.append((y, result[0], result[1]))
+            return result
+
+        return wrapped, start if starts is None else lambda: starts[problem]
+
+    monkeypatch.setattr(stefan, "_front_g", recording)
+
+
+def test_front_evaluations_per_solve_on_wide_sample(monkeypatch):
+    # Halley's step ends most solves after two steps: one evaluation at the
+    # start, one after the first step and the coefficient evaluation.
+    # Newton's method took 4.1 evaluations per solve on this sample.
+    visited = []
+    _recording_front_g(monkeypatch, visited)
+    sample = _wide_sample(600)
+    for p, _ in sample:
+        solve_front(p)
+    assert len(visited) / len(sample) <= 3.4
+
+
+def test_front_curvature_matches_central_difference():
+    # G'' from the log-sum of both series against (G'(y+h) - G'(y-h)) / 2h,
+    # at the root and half a unit of y either side of it.
+    import stefan_kummer.stefan as stefan
+
+    for p, _ in _wide_sample(80, seed=13):
+        front = stefan._front_g(p)[0]
+        root = math.log(solve_front(p).nu)
+        for y in (root - 0.5, root, root + 0.5):
+            h = 1e-4
+            _, (slope, curvature), _ = front(y)
+            difference = (front(y + h)[1][0] - front(y - h)[1][0]) / (2.0 * h)
+            assert abs(curvature - difference) <= 1e-7 * (abs(curvature) + abs(slope)), (p, y)
+
+
+def test_far_starts_converge_to_the_same_root(monkeypatch):
+    # Five units of y left and right of the root: far right |G G''| > G'**2,
+    # where the step is Newton's, and Newton's steps descend monotonically.
+    # Both roots meet the stop |G| <= rounding, so they agree to within
+    # twice the step that the rounding allows.
+    import stefan_kummer.stefan as stefan
+
+    sample = [p for p, _ in _wide_sample(60, seed=17)]
+    roots = [math.log(solve_front(p).nu) for p in sample]
+    stops = []
+    for p, y in zip(sample, roots):
+        _, (slope, _), rounding = stefan._front_g(p)[0](y)
+        stops.append(2.0 * rounding / -slope)
+    newton = 0
+    for shift in (-5.0, 5.0):
+        visited = []
+        with monkeypatch.context() as patch:
+            _recording_front_g(patch, visited, {p: y + shift for p, y in zip(sample, roots)})
+            for p, y, stop in zip(sample, roots, stops):
+                assert abs(math.log(solve_front(p).nu) - y) <= stop, p
+        newton += sum(abs(g * curvature) > slope * slope for _, g, (slope, curvature) in visited)
+    assert newton > 0
 
 
 def test_field_against_mpmath_on_wide_sample():
@@ -947,21 +1025,8 @@ def test_log_residual_matches_twin_at_every_solver_iterate(monkeypatch):
     # G from scaled Kummer logs against its repeated-erfc twin, which sums
     # no Kummer series, at every y that solve_front visits, up to nu 77.6.
     # The 1/x term is the twin's own cancellation in F_n at small x.
-    import stefan_kummer.stefan as stefan
-
     visited = []
-    real = stefan._front_g
-
-    def recording(problem):
-        front, start = real(problem)
-
-        def wrapped(y, coefficients=False):
-            visited.append(y)
-            return front(y, coefficients)
-
-        return wrapped, start
-
-    monkeypatch.setattr(stefan, "_front_g", recording)
+    _recording_front_g(monkeypatch, visited)
     r = random.Random(5)
 
     def u(lo, hi):
@@ -976,7 +1041,7 @@ def test_log_residual_matches_twin_at_every_solver_iterate(monkeypatch):
     for p in specs:
         visited.clear()
         nus.append(solve_front(p).nu)
-        for x in [math.exp(y) for y in visited]:
+        for x in [math.exp(y) for y, _, _ in visited]:
             g, twin = front_log_residual(p, x), front_log_residual_integer_alpha(p, x)
             scale = 1.0 + abs(g) + x * x + (p.alpha + 1.0) * abs(math.log(x)) + 1.0 / x
             assert abs(g - twin) <= 16.0 * eps * scale, (p, x, g, twin)

@@ -32,7 +32,10 @@ __all__ = [
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi)
 
 _SERIES_RTOL = 1e-16
-_SERIES_TERM_CAP = 10_000
+# Above z = 30 a series whose first DLMF 13.7.2 ratio is at least 1
+# (a**2 >~ z) is summed by _m_series, whose tail bound needs a term ratio of
+# at most 1/2: about 2z + 2a terms, past 10_000 for front roots nu >~ 70.
+_SERIES_TERM_CAP = 1_000_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
 _MIN_ARGUMENT = -200.0

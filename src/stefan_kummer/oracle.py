@@ -35,9 +35,10 @@ adds its row, at the temperature its heat had at the start of the step
 ((h_m - lam_m) / (k dx / d) < 0), and the iteration stops when a step
 leaves m unchanged, which makes the step exact up to round-off.  A step
 may melt any number of cells: nothing but the front reaching the domain
-end, which raises RuntimeError, stops it.  Convective and temperature
-faces are implicit at the new time; a flux face lets in the exact time
-integral of its datum over the step.
+end, which raises RuntimeError, stops it.  The face has two forms.  A
+convective face is implicit at the new time, and a temperature face is
+the convective face with h0 = inf (the paper's limit); a flux face lets
+in the exact time integral of its datum over the step.
 
 The state is the block temperatures u_i and the front cell's heat h_m, as
 Python lists (scalar loops run faster on lists than on array elements).
@@ -66,8 +67,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .stefan import (Convective, ProblemSpec, SimilaritySolution, Temperature,
-                     _require_positive, solve_front)
+from .stefan import Flux, ProblemSpec, SimilaritySolution, _require_positive, solve_front
 
 __all__ = [
     "OracleConfig",
@@ -137,25 +137,12 @@ class ComparisonReport:
 def _face_inflow(problem: ProblemSpec, dx: float):
     """Heat let in through the fixed face over the step from t to t + dt,
     as (a, b) with inflow a - b * u0 for the first cell's temperature u0
-    at t + dt (half-cell conduction included)."""
+    at t + dt (half-cell conduction included).  A temperature face is the
+    convective face with h0 = inf: no film resistance, the datum t0 in
+    place of t_inf."""
     alpha, k = problem.alpha, problem.k
     b = problem.boundary
-    if isinstance(b, Convective):
-        def inflow(t: float, dt: float) -> tuple[float, float]:
-            t1 = t + dt
-            resistance = math.sqrt(t1) / b.h0 + dx / (2.0 * k)
-            # dt / resistance first: dt * t_inf under- or overflows at
-            # extreme time scales, where the quotient does not.
-            g = dt / resistance
-            return g * b.t_inf * t1 ** (alpha / 2.0), g
-
-    elif isinstance(b, Temperature):
-        conductance = 2.0 * k / dx
-
-        def inflow(t: float, dt: float) -> tuple[float, float]:
-            return dt * conductance * b.t0 * (t + dt) ** (alpha / 2.0), dt * conductance
-
-    else:
+    if isinstance(b, Flux):
         p = (alpha + 1.0) / 2.0
 
         def inflow(t: float, dt: float) -> tuple[float, float]:
@@ -170,6 +157,17 @@ def _face_inflow(problem: ProblemSpec, dx: float):
                 raise OverflowError(f"the flux inflow c t**p over the step from t={t} "
                                     f"overflows double precision (c = {b.c}, p = {p})")
             return a, 0.0
+
+    else:
+        h0 = getattr(b, "h0", math.inf)  # a temperature face has no film
+        datum = b.t0 if h0 == math.inf else b.t_inf
+
+        def inflow(t: float, dt: float) -> tuple[float, float]:
+            t1 = t + dt
+            # dt / resistance first: dt * datum under- or overflows at
+            # extreme time scales, where the quotient does not.
+            g = dt / (math.sqrt(t1) / h0 + dx / (2.0 * k))
+            return g * datum * t1 ** (alpha / 2.0), g
 
     return inflow
 
@@ -209,14 +207,12 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
         if sol.problem != problem:
             raise ValueError("closed form and oracle describe different problems")
         s0 = sol.front_position(t0)
-        # Cells with right edge below s0.  A quotient within 4 eps of an
+        # Cells with right edge below s0.  A quotient up to 4 eps below an
         # integer counts as that integer: verify's default domain makes
         # s0 / dx exactly nx / 40, and the last bit of the quotient would
         # decide whether cell m starts melted or as an empty front cell.
         cells = s0 / dx
-        m = round(cells)
-        if abs(cells - m) > 4.0 * sys.float_info.epsilon * cells:
-            m = int(cells)
+        m = int(cells * (1.0 + 4.0 * sys.float_info.epsilon))
         _check_room(m, nx, t0)
         u[:m] = sol.temperature(x_centers[:m], t0).tolist()
         h_m = max(cells - m, 0.0) * lam[m]

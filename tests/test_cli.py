@@ -88,6 +88,16 @@ def test_field_root_past_series_overflow_exits_0(tmp_path):
     assert all(v >= 0.0 for v in psi) and max(psi) > 0.0
 
 
+def test_solve_root_needing_long_series_exits_0(tmp_path):
+    # Above z = 30 the front equation's series here take over 10_000
+    # terms: it exited 3 when the series were capped at that.
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--alpha", "172.18560184160822", "--t0", "6.9086042868506345e+289",
+                "--gamma", "1.7633550984979427e-284", "--d", "3.938333290852127e-30",
+                "--k", "2.066567176843034e-282", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nu"] == pytest.approx(72.58393099897977, rel=1e-14)
+
+
 def test_solve_residual_finite_where_nu_power_overflows(tmp_path):
     # nu = 8.3 and nu**401 overflows: the solve converged, then exited 3.
     out = tmp_path / "solve.json"
@@ -511,15 +521,21 @@ def test_verify_passes_on_coarse_grid(tmp_path):
     out = tmp_path / "verify.json"
     # At t_end 1e-250 the step's dx * t underflowed to 0: a ZeroDivisionError.
     # The convective inflow dt * t_inf underflowed from 1e-270 down (the
-    # front stalled) and overflowed from 1e280 up (exit 3).
-    for t_end in ("0.25", "1e-250", "1e-300", "1e-280", "1e280", "1e300"):
-        code = run(["verify", *FIG9_ARGS, "--nx-oracle", "200", "--t-end", t_end,
-                    "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["passed"] is True
-        assert payload["max_front_err"] <= payload["front_tol"]
-        assert payload["energy_balance_drift"] <= payload["drift_tol"]
+    # front stalled) and overflowed from 1e280 up (exit 3).  Each family
+    # takes the same steps to the same front error at every time scale.
+    for args in (FIG9_ARGS, ["--alpha", "0.4", "--t0", "1"], ["--alpha", "0.4", "--c", "1"]):
+        runs = []
+        for t_end in ("0.25", "1e-250", "1e-300", "1e-280", "1e280", "1e300"):
+            code = run(["verify", *args, "--nx-oracle", "200", "--t-end", t_end,
+                        "--out", str(out)])
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert payload["passed"] is True
+            assert payload["max_front_err"] <= payload["front_tol"]
+            assert payload["energy_balance_drift"] <= payload["drift_tol"]
+            runs.append((payload["n_steps"], payload["max_front_err"]))
+        assert len({steps for steps, _ in runs}) == 1
+        assert all(err == pytest.approx(runs[0][1], rel=1e-9) for _, err in runs)
 
 
 def test_verify_solves_closed_form_once(tmp_path, monkeypatch):

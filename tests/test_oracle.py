@@ -118,21 +118,36 @@ def test_step_counts_pinned_at_bench_grids(problem, nx, steps, newton):
     assert (result.n_steps, result.newton_iterations) == (steps, newton)
 
 
+def assert_same_run(one, other):
+    """Two oracle results agree bit for bit."""
+    for name in ("x_centers", "times", "front_positions"):
+        assert np.array_equal(getattr(one, name), getattr(other, name))
+    assert len(one.temperature_snapshots) == len(other.temperature_snapshots)
+    for (t1, u1), (t2, u2) in zip(one.temperature_snapshots, other.temperature_snapshots):
+        assert t1 == t2 and np.array_equal(u1, u2)
+    assert one.energy_balance_drift == other.energy_balance_drift
+    assert (one.n_steps, one.newton_iterations) == (other.n_steps, other.newton_iterations)
+
+
 @pytest.mark.parametrize("problem", FAMILIES, ids=["convective", "temperature", "flux"])
 def test_given_closed_form_changes_nothing(problem):
     cfg = short_config(problem)
     given = run_oracle(problem, cfg, closed_form=solve_front(problem))
-    solved = run_oracle(problem, cfg)
-    for name in ("x_centers", "times", "front_positions"):
-        assert np.array_equal(getattr(given, name), getattr(solved, name))
-    assert len(given.temperature_snapshots) == len(solved.temperature_snapshots)
-    for (t1, u1), (t2, u2) in zip(given.temperature_snapshots, solved.temperature_snapshots):
-        assert t1 == t2 and np.array_equal(u1, u2)
-    assert given.energy_balance_drift == solved.energy_balance_drift
-    assert (given.n_steps, given.newton_iterations) == (solved.n_steps, solved.newton_iterations)
+    assert_same_run(given, run_oracle(problem, cfg))
     other = ProblemSpec(alpha=problem.alpha + 0.1, boundary=problem.boundary)
     with pytest.raises(ValueError, match="different problems"):
         run_oracle(problem, cfg, closed_form=solve_front(other))
+
+
+@pytest.mark.parametrize("alpha, nx", [(0.4, 250), (2.0, 200)])
+def test_temperature_face_is_convective_face_without_film(alpha, nx):
+    # A temperature face is the convective face with h0 = inf: at h0 = 1e300
+    # the film resistance sqrt(t) / h0 vanishes beside the half-cell one,
+    # so cold starts (which never read the closed form) agree bit for bit.
+    temperature = ProblemSpec(alpha=alpha, boundary=Temperature(t0=1.0))
+    convective = ProblemSpec(alpha=alpha, boundary=Convective(h0=1e300, t_inf=1.0))
+    cfg = short_config(temperature, t_end=1.0, nx=nx, cold_start=True, start_fraction=1e-4)
+    assert_same_run(run_oracle(temperature, cfg), run_oracle(convective, cfg))
 
 
 @pytest.mark.parametrize("problem", FAMILIES, ids=["convective", "temperature", "flux"])

@@ -514,6 +514,32 @@ def test_root_past_series_overflow_solves():
         assert abs(sol.nu - mp_front_root(mp, PAST_SERIES_OVERFLOW, sol.nu)) <= 1e-13 * sol.nu
 
 
+# From a seeded sample of every datum in [1e-300, 1e300] and alpha up to 400:
+# above z = 30 these sum series of over 10_000 terms, and raised
+# NonConvergenceError at a cap of that size.
+LONG_SERIES = [
+    ProblemSpec(alpha=172.18560184160822, boundary=Temperature(t0=6.9086042868506345e+289),
+                gamma=1.7633550984979427e-284, d=3.938333290852127e-30,
+                k=2.066567176843034e-282),
+    ProblemSpec(alpha=338.05254700010784,
+                boundary=Convective(h0=1.109579332296994e+130, t_inf=1.0606464875233323e+213),
+                gamma=4.444593657842956e-245, d=2.0155504150564231e-51,
+                k=2.120194328404053e+199),
+    ProblemSpec(alpha=259.2484454891788, boundary=Flux(c=2.8575322866633033e-193),
+                gamma=1.4514818592050712e-193, d=6.41637276756859e-37,
+                k=6.200913134892601e-197),
+]
+
+
+@pytest.mark.parametrize("p", LONG_SERIES, ids=["temperature", "convective", "flux"])
+def test_root_needing_long_series_solves(p):
+    mp = pytest.importorskip("mpmath")
+    sol = solve_front(p)
+    assert sol.nu > 70.0
+    with mp.workdps(50):
+        assert abs(sol.nu - mp_front_root(mp, p, sol.nu)) <= 1e-15 * sol.nu
+
+
 def test_field_past_series_overflow_against_mpmath():
     # The unit profile grows like exp(nu**2) = 1e381 on its walk to the
     # face: unscaled it overflowed and the field was NaN.  Near the front u
@@ -850,6 +876,40 @@ def test_front_and_field_where_d_t_underflows():
 def test_front_scaling_property(t):
     sol = solve_front(FIG9)
     assert sol.front_position(4.0 * t) == pytest.approx(2.0 * sol.front_position(t), rel=1e-12)
+
+
+def _reduced(p):
+    """The problem with gamma = d = k = 1 and the same nu: nu depends on
+    the data only through alpha and these groups."""
+    b, a, gamma, d, k = p.boundary, p.alpha, p.gamma, p.d, p.k
+    if isinstance(b, Temperature):
+        reduced = Temperature(t0=b.t0 * k / (gamma * d ** (1.0 + a / 2.0)))
+    elif isinstance(b, Flux):
+        reduced = Flux(c=b.c / (gamma * d ** ((a + 1.0) / 2.0)))
+    else:
+        reduced = Convective(h0=b.h0 * math.sqrt(d) / k,
+                             t_inf=b.t_inf * k / (gamma * d ** (1.0 + a / 2.0)))
+    return ProblemSpec(alpha=a, boundary=reduced)
+
+
+def test_nu_invariant_under_scaling_of_the_data():
+    # Each solve lands within its rounding of the root (up to 6.4 eps of
+    # max(1, |log nu|) seen against 50-digit mpmath), so the two may differ
+    # by the sum.  Worst difference seen: 4.4 over these 3000 and 8.1 over
+    # seeds 1 to 8.
+    r = random.Random(3)
+
+    def u():
+        return 10.0 ** r.uniform(-5.0, 5.0)
+
+    families = [lambda: Convective(h0=u(), t_inf=u()), lambda: Temperature(t0=u()),
+                lambda: Flux(c=u())]
+    for _ in range(3000):
+        p = ProblemSpec(alpha=r.uniform(0.0, 20.0), boundary=r.choice(families)(),
+                        gamma=u(), d=u(), k=u())
+        nu, nu_reduced = solve_front(p).nu, solve_front(_reduced(p)).nu
+        bound = 16.0 * sys.float_info.epsilon * max(1.0, abs(math.log(nu)))
+        assert abs(nu_reduced - nu) <= bound * nu, p
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.1, math.nan, 0.2]),

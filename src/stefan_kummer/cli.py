@@ -7,12 +7,9 @@ conversion report as JSON), ``verify`` (closed form against the
 finite-difference oracle, JSON report).
 
 Each option's type and default are declared with its flag, and
-``stefan-kummer <command> --help`` lists the defaults.  Every option is
-resolved once, before the subcommand runs: the command-line value if
-given, else the value of a key=value config file named by the
-STEFAN_KUMMER_CONFIG environment variable (cast by the option's type;
-keys of other subcommands are ignored), else the default.  Every
-subcommand, and each row of a sweep, builds its problem the same way:
+``stefan-kummer <command> --help`` lists the defaults; a flag left off
+the command line takes its default.  Every subcommand, and each row of a
+sweep, builds its problem the same way:
 exactly one boundary family may have data given, and it must have all of
 its data.  So a sweep over h0 or tinf needs a convective problem, and
 --tinf without --h0 is a usage error (``equiv --to convective`` passes
@@ -26,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from itertools import islice, repeat
@@ -42,9 +38,6 @@ from .stefan import (
     solve_front,
 )
 
-_CONFIG_ENV = "STEFAN_KUMMER_CONFIG"
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
 # Each boundary family's data, field name to flag name: the flag is the
 # field's name without underscores (t_inf is --tinf).
 _FAMILY_FLAGS = {family: {f.name: f.name.replace("_", "") for f in fields(family)}
@@ -55,53 +48,8 @@ class UsageError(ValueError):
     pass
 
 
-def _load_config_file() -> dict[str, str]:
-    path = os.environ.get(_CONFIG_ENV)
-    if not path:
-        return {}
-    entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"malformed config line {line!r} in {path}")
-                key, _, value = line.partition("=")
-                entries[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return entries
-
-
-def _cast_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _resolve_options(args: argparse.Namespace, config: dict[str, str]) -> argparse.Namespace:
-    """Each option left off the command line (None) takes its config-file
-    value, cast by the option's declared type, else its declared default."""
-    resolved = vars(args).copy()
-    for name, value in vars(args).items():
-        if value is not None:
-            continue
-        cast, default = _DECLARED[name]
-        raw = config.get(name)
-        try:
-            resolved[name] = default if raw is None else cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad config value {name}={raw!r}") from exc
-    return argparse.Namespace(**resolved)
-
-
 def _resolve_problem(args: argparse.Namespace, **varied: float) -> ProblemSpec:
-    """The problem the resolved options describe; a datum in ``varied``
+    """The problem the parsed options describe; a datum in ``varied``
     (a sweep row's value) takes the place of its option.  Exactly one
     boundary family may have data given, and it must have all of them."""
     o = {**vars(args), **varied}
@@ -304,14 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The parser, and each option's (config cast, default) by name.
-
-    ``option`` declares a flag's type and default in one place.  argparse
-    itself keeps None as every default, so that an option left off the
-    command line reads None until ``_resolve_options`` fills it.
-    """
-    declared: dict[str, tuple] = {}
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; ``option`` declares a flag's type and default in one place."""
 
     def option(parser, flag, type, default=None, help="", **kwargs):
         if type is bool:
@@ -320,8 +262,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
             kwargs["type"] = type
             if default is not None:
                 help = f"{help} (default {default:g})"
-        action = parser.add_argument(flag, default=None, help=help, **kwargs)
-        declared[action.dest] = (_cast_bool if type is bool else type, default)
+        parser.add_argument(flag, default=default, help=help, **kwargs)
 
     # No abbreviations: a prefix of one flag (--nx) must not run as another.
     shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -373,12 +314,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     option(verify, "--domain-length", float,
            help="oracle domain length (default 4 s(t_end))")
 
-    return parser, declared
+    return parser
 
 
 # Built once per process: the parser holds no per-call state, and building
 # it costs as much as a small field grid.
-_PARSER, _DECLARED = _build_parser()
+_PARSER = _build_parser()
 
 
 def _error_record(kind: str, detail: str) -> None:
@@ -391,7 +332,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _resolve_options(args, _load_config_file())
         return args.run(args)
     except UsageError as exc:
         _error_record("usage", str(exc))

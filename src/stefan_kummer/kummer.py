@@ -191,12 +191,18 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
     (negative a) does not end the sum.  A sum past 2**500 is divided by
     2**500 together with the term and zm, and e counts those shifts, so no
     partial sum overflows; below that e = 0 and m is the plain sum.
+
+    For a, b > 0 every ratio before the cap is at least z min(1, a/b) / cap.
+    Where that is clearly above 1/2, no term can round to 0 and no tail
+    bound can hold before the cap, so the loop is skipped and it raises.
     """
     term = 1.0
     total = 1.0
     slope = 0.0
     exponent = 0
-    for s in range(_SERIES_TERM_CAP):
+    least = 0.51 * _SERIES_TERM_CAP  # ratio 1/2, with room for rounding
+    hopeless = z >= least and a > 0.0 and b > 0.0 and z * min(1.0, a / b) >= least
+    for s in range(0 if hopeless else _SERIES_TERM_CAP):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
         total += term

@@ -139,7 +139,12 @@ def _face_inflow(problem: ProblemSpec, dx: float):
     as (a, b) with inflow a - b * u0 for the first cell's temperature u0
     at t + dt (half-cell conduction included).  A temperature face is the
     convective face with h0 = inf: no film resistance, the datum t0 in
-    place of t_inf."""
+    place of t_inf.
+
+    Where the direct form lets in no heat at all, a rearranged one is
+    tried (the flux summed in logs, the convective conductance divided
+    through by sqrt(t + dt)); where that too gives no positive finite
+    inflow, OverflowError names it."""
     alpha, k = problem.alpha, problem.k
     b = problem.boundary
     if isinstance(b, Flux):
@@ -149,13 +154,15 @@ def _face_inflow(problem: ProblemSpec, dx: float):
             # integral of c * t**(p - 1) over [t, t + dt], free of cancellation
             try:
                 a = b.c * t**p * math.expm1(p * math.log1p(dt / t)) / p
-            except OverflowError:  # t**p alone: c t**p may lie within double range
+            except OverflowError:
+                a = 0.0
+            if a == 0.0:  # t**p alone may leave double range where c t**p does not
                 log_a = (math.log(b.c) + p * math.log(t)
                          + math.log(math.expm1(p * math.log1p(dt / t)) / p))
                 a = math.exp(log_a) if log_a < _LOG_MAX else math.inf
-            if a == math.inf:
+            if not 0.0 < a < math.inf:
                 raise OverflowError(f"the flux inflow c t**p over the step from t={t} "
-                                    f"overflows double precision (c = {b.c}, p = {p})")
+                                    f"is {a}, outside double range (c = {b.c}, p = {p})")
             return a, 0.0
 
     else:
@@ -167,6 +174,14 @@ def _face_inflow(problem: ProblemSpec, dx: float):
             # dt / resistance first: dt * datum under- or overflows at
             # extreme time scales, where the quotient does not.
             g = dt / (math.sqrt(t1) / h0 + dx / (2.0 * k))
+            if g == 0.0:  # sqrt(t1) / h0 may overflow where g does not underflow
+                root = math.sqrt(t1)
+                resistance = 1.0 / h0 + dx / (2.0 * k * root)
+                g = dt / root / resistance if 0.0 < resistance < math.inf else 0.0
+                if not 0.0 < g < math.inf:
+                    raise OverflowError(f"the face conductance dt / (sqrt(t + dt) / h0 + "
+                                        f"dx / (2 k)) over the step from t={t} is {g}, "
+                                        f"outside double range (h0 = {h0}, k = {k})")
             return g * datum * t1 ** (alpha / 2.0), g
 
     return inflow

@@ -631,6 +631,26 @@ def test_verify_flux_inflow_where_only_t_power_overflows(tmp_path):
     assert payload["energy_balance_drift"] <= payload["drift_tol"]
 
 
+@pytest.mark.parametrize("args", [
+    # Convective: sqrt(t + dt) / h0 overflowed, so no heat entered.
+    ["--alpha", "0.4", "--gamma", "3.853549772814724e+156", "--d", "1.2019237345450407e-174",
+     "--k", "1.2299510547994192e-160", "--h0", "6.291723852259702e-266",
+     "--tinf", "1.4307381804042074e+202", "--t-end", "1.1557419673364824e+292"],
+    # Flux: t**p underflowed to 0 at the start time.
+    ["--alpha", "2.0", "--gamma", "8.219104658527416e+96", "--d", "1.6897953978291296e+160",
+     "--k", "2.2537580734450055e+90", "--c", "4.8255128623650544e+229",
+     "--t-end", "6.18158723387835e-298"],
+    ["--alpha", "2.0", "--gamma", "1.0401108748288755e-216", "--d", "6.408880674026249e+231",
+     "--k", "4.8518971012034924e+129", "--c", "5.891751553450586e+74",
+     "--t-end", "2.617346521902866e-249"],
+])
+def test_verify_heat_enters_where_the_direct_face_form_reads_0(tmp_path, args):
+    # These ran 24 steps at front error 0.9 with the front standing still.
+    out = tmp_path / "verify.json"
+    assert run(["verify", *args, "--nx-oracle", "400", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+
+
 # ---- the wide domain ----
 
 
@@ -685,100 +705,29 @@ def test_wide_domain_runs_solve_or_fail_with_a_record(capsys):
             assert "inf" not in out and "nan" not in out, argv
 
 
-# ---- config file and precedence ----
+# ---- defaults ----
 
 
-def test_config_file_supplies_defaults(tmp_path, monkeypatch):
-    cfg = tmp_path / "defaults.cfg"
-    cfg.write_text("alpha=0.4\nh0=0.5\ntinf=1\n# comment\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    out = tmp_path / "solve.json"
-    assert run(["solve", "--out", str(out)]) == 0
-    nu_cfg = json.loads(out.read_text())["nu"]
-    ref = solve_front(ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))).nu
-    assert nu_cfg == ref
+_COMMON_DEFAULTS = {"alpha": 0.0, "gamma": 1.0, "d": 1.0, "k": 1.0}
 
 
-def test_flags_override_config_file(tmp_path, monkeypatch):
-    cfg = tmp_path / "defaults.cfg"
-    cfg.write_text("alpha=0.4\nh0=0.5\ntinf=1\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    out = tmp_path / "solve.json"
-    assert run(["solve", "--h0", "5", "--out", str(out)]) == 0
-    nu = json.loads(out.read_text())["nu"]
-    ref = solve_front(ProblemSpec(alpha=0.4, boundary=Convective(h0=5.0, t_inf=1.0))).nu
-    assert nu == ref
+@pytest.mark.parametrize("argv,defaults", [
+    (["solve"], _COMMON_DEFAULTS),
+    (["sweep"], {**_COMMON_DEFAULTS, "include_limit": False}),
+    (["field"], {**_COMMON_DEFAULTS, "tmax": 1.0, "nx": 50, "nt": 50, "xmax": None}),
+    (["verify"], {**_COMMON_DEFAULTS, "t_end": 1.0, "nx_oracle": 2000, "tol": 0.01,
+                  "domain_length": None}),
+])
+def test_flag_left_off_takes_its_default(argv, defaults):
+    args = vars(cli._PARSER.parse_args(argv))
+    for name, default in defaults.items():
+        assert args[name] == default and type(args[name]) is type(default), name
 
 
-def test_malformed_config_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "broken.cfg"
-    cfg.write_text("alpha 0.4\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    assert run(["solve", "--t0", "1"]) == 2
-    capsys.readouterr()
-
-
-def test_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(tmp_path / "missing.cfg"))
-    assert run(["solve", "--t0", "1"]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "usage" and "cannot read config file" in record["detail"]
-
-
-def test_config_beats_default_and_flag_beats_config(tmp_path, monkeypatch):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text("nx=7\nnt=3\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
+def test_field_grid_defaults_to_50_by_50(tmp_path):
     out = tmp_path / "field.csv"
     assert run(["field", *FIG9_ARGS, "--out", str(out)]) == 0
-    assert len(read_csv(out)[1]) == 7 * 3
-    assert run(["field", *FIG9_ARGS, "--nt", "2", "--out", str(out)]) == 0
-    assert len(read_csv(out)[1]) == 7 * 2
-
-
-def test_config_key_of_another_subcommand_is_ignored(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "other.cfg"
-    cfg.write_text("nx=7\ninclude_limit=maybe\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    assert run(["solve", *FIG9_ARGS]) == 0
-    ref = solve_front(ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))).nu
-    assert json.loads(capsys.readouterr().out)["nu"] == ref
-
-
-@pytest.mark.parametrize("argv,entry", [
-    (["field", *FIG9_ARGS], "nx=seven"),
-    (["field", *FIG9_ARGS], "tmax=fast"),
-    (["sweep", "--vary", "h0", "--values", "1", "--tinf", "1"], "include_limit=maybe"),
-])
-def test_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, entry):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(entry + "\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    assert run(argv) == 2
-    record = json.loads(capsys.readouterr().err)
-    name, _, value = entry.partition("=")
-    assert record["error"] == "usage"
-    assert f"{name}={value!r}" in record["detail"]
-
-
-def test_config_turns_include_limit_on(tmp_path, monkeypatch):
-    cfg = tmp_path / "limit.cfg"
-    cfg.write_text("include_limit=yes\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--vary", "h0", "--values", "1,10", "--alpha", "0.4",
-                "--tinf", "1", "--out", str(out)]) == 0
-    assert read_csv(out)[0] == ["param", "nu", "nu_infinity"]
-
-
-def test_config_turns_include_limit_off(tmp_path, monkeypatch):
-    cfg = tmp_path / "limit.cfg"
-    cfg.write_text("include_limit = off\n")
-    monkeypatch.setenv("STEFAN_KUMMER_CONFIG", str(cfg))
-    out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--vary", "h0", "--values", "1,10", "--alpha", "0.4",
-                "--tinf", "1", "--out", str(out)]) == 0
-    assert read_csv(out)[0] == ["param", "nu"]
+    assert len(read_csv(out)[1]) == 50 * 50
 
 
 @pytest.mark.parametrize("command,defaults", [
@@ -839,8 +788,7 @@ print(repr(u))
 def test_scalar_path_starts_without_numpy():
     # A fresh interpreter: this test process has imported numpy already.
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {key: value for key, value in os.environ.items() if key != "STEFAN_KUMMER_CONFIG"}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
     child = subprocess.run([sys.executable, "-c", _SCALAR_PATH], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr

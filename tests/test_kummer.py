@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -483,6 +484,22 @@ def test_term_cap_raises(monkeypatch):
     monkeypatch.setattr(kummer_module, "_SERIES_TERM_CAP", 5)
     with pytest.raises(NonConvergenceError):
         kummer_m(-0.2, 0.5, -30.0)
+
+
+@pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6)])
+def test_series_that_cannot_settle_raises_at_once(a, b, z):
+    # Every term ratio before the cap is above 1/2 here: summing up to the
+    # cap took 0.29 s at z = 1e7 before raising the same error.
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match="did not settle"):
+        kummer_m(a, b, z)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_series_ended_by_a_vanished_term_still_sums():
+    # The tail bound first holds past the cap (z > cap / 2), yet the terms
+    # fall so fast that one rounds to 0 and ends the sum.
+    assert kummer_m(1.0, 1e9, 6e5) == pytest.approx(1.0 / (1.0 - 6e-4), rel=1e-12)
 
 
 def test_scalar_form_takes_floats_only():

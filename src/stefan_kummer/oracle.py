@@ -10,10 +10,10 @@ none, are the initial state (see below).  Cell i (center x_i, width dx)
 carries a per-area heat content H_i; the first
 lam_i = gamma * x_i**alpha * dx of it melts the cell (midpoint rule for the
 position-dependent latent heat) and the excess is sensible heat with
-volumetric capacity k/d, so the cell temperature is
-u(H_i) = (d / (k dx)) * max(H_i - lam_i, 0).  Partially melted cells sit
-at the phase-change temperature 0, which also blocks conduction past the
-front, as befits a one-phase model.  The front position is the melted
+volumetric capacity 1/d (k = 1 in the oracle's units, below), so the cell
+temperature is u(H_i) = (d / dx) * max(H_i - lam_i, 0).  Partially melted
+cells sit at the phase-change temperature 0, which also blocks conduction
+past the front, as befits a one-phase model.  The front position is the melted
 length: fully melted cells plus the liquid fraction of the first partial cell.
 
 The time-dependent boundary data are singular at t = 0, so integration
@@ -32,7 +32,7 @@ melted block 0..m-1 plus a forward substitution for the front cell m.
 The block matrix is an M-matrix, so cells melted at the start of a step
 stay melted and the block only grows: a Newton step that melts cell m
 adds its row, at the temperature its heat had at the start of the step
-((h_m - lam_m) / (k dx / d) < 0), and the iteration stops when a step
+((h_m - lam_m) / (dx / d) < 0), and the iteration stops when a step
 leaves m unchanged, which makes the step exact up to round-off.  A step
 may melt any number of cells: nothing but the front reaching the domain
 end, which raises RuntimeError, stops it.  The face has two forms.  A
@@ -40,19 +40,25 @@ convective face is implicit at the new time, and a temperature face is
 the convective face with h0 = inf (the paper's limit); a flux face lets
 in the exact time integral of its datum over the step.
 
+The scheme runs in units L = domain_length, T = t_end and U, the face
+datum's temperature at T (c L T**((alpha-1)/2) / k for a flux face), where
+k, the face datum, the domain and the horizon are 1.  The data enter as
+d T / L**2, gamma L**(alpha+2) / (k T U) and h0 L / (k sqrt(T)), each formed
+from logs; outside the normal floats each raises OverflowError, but an h0
+group past double range is the temperature face.  The records scale back.
+
 The state is the block temperatures u_i and the front cell's heat h_m, as
 Python lists (scalar loops run faster on lists than on array elements).
-In units of rdt = k dt / dx, with c1 = (k dx / d) / rdt and c = c1 + 2,
+In units of rdt = dt / dx, with c1 = dx / (d rdt) and c = c1 + 2,
 row i reads c u_i - u_{i-1} - u_{i+1} = c1 u_i_prev; the sweeps
 w_i = 1 / (c - w_{i-1}), v_i = (c1 u_i_prev + v_{i-1}) w_i and
 u_i = v_i + w_i u_{i+1} take 7 float operations per cell.  The face inflow
 a - b u_0 is a ghost row w_{-1} = 1 - b / rdt, v_{-1} = a / rdt.
 
-The step is dt = 2 * _DT_SAFETY * dx * (t / max(s, dx)) for the current
-oracle front s (the quotient first, so that dx * t cannot underflow).  As
-s grows like sqrt(t), the front then crosses about _DT_SAFETY = 0.2 cells
-per step, so the step count grows linearly in nx, and a cold start
-(s = 0) grows t geometrically.  Every step is recorded: the
+The step is dt = 2 * _DT_SAFETY * dx * t / max(s, dx) for the current
+oracle front s.  As s grows like sqrt(t), the front then crosses about
+_DT_SAFETY = 0.2 cells per step, so the step count grows linearly in nx,
+and a cold start (s = 0) grows t geometrically.  Every step is recorded: the
 result holds the time and front at the start and after each step (so
 ``np.diff(result.times)`` is the step history), and temperature
 snapshots at ten equally spaced times after the start, which the steps
@@ -81,7 +87,7 @@ __all__ = [
 _N_SNAPSHOTS = 10
 # About the number of cells the front crosses per time step.
 _DT_SAFETY = 0.2
-_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -134,55 +140,30 @@ class ComparisonReport:
     max_field_err: float
 
 
-def _face_inflow(problem: ProblemSpec, dx: float):
-    """Heat let in through the fixed face over the step from t to t + dt,
-    as (a, b) with inflow a - b * u0 for the first cell's temperature u0
-    at t + dt (half-cell conduction included).  A temperature face is the
-    convective face with h0 = inf: no film resistance, the datum t0 in
-    place of t_inf.
+def _group(name: str, log_value: float) -> float:
+    """The scaled coefficient exp(log_value), the one range check."""
+    if not _LOG_MIN <= log_value < _LOG_MAX:
+        raise OverflowError(f"the oracle's group {name} is exp({log_value}), not a normal float")
+    return math.exp(log_value)
 
-    Where the direct form lets in no heat at all, a rearranged one is
-    tried (the flux summed in logs, the convective conductance divided
-    through by sqrt(t + dt)); where that too gives no positive finite
-    inflow, OverflowError names it."""
-    alpha, k = problem.alpha, problem.k
-    b = problem.boundary
-    if isinstance(b, Flux):
+
+def _face_inflow(alpha: float, h0: float | None, dx: float):
+    """Heat let in through the fixed face over the step from t to t + dt in
+    the oracle's units, as (a, b) with inflow a - b * u0 for the first cell's
+    temperature u0 at t + dt (half-cell conduction included).  h0 None is the
+    flux face; a temperature face is the convective face with h0 = inf."""
+    if h0 is None:
         p = (alpha + 1.0) / 2.0
 
         def inflow(t: float, dt: float) -> tuple[float, float]:
-            # integral of c * t**(p - 1) over [t, t + dt], free of cancellation
-            try:
-                a = b.c * t**p * math.expm1(p * math.log1p(dt / t)) / p
-            except OverflowError:
-                a = 0.0
-            if a == 0.0:  # t**p alone may leave double range where c t**p does not
-                log_a = (math.log(b.c) + p * math.log(t)
-                         + math.log(math.expm1(p * math.log1p(dt / t)) / p))
-                a = math.exp(log_a) if log_a < _LOG_MAX else math.inf
-            if not 0.0 < a < math.inf:
-                raise OverflowError(f"the flux inflow c t**p over the step from t={t} "
-                                    f"is {a}, outside double range (c = {b.c}, p = {p})")
-            return a, 0.0
+            # integral of t**(p - 1) over [t, t + dt], free of cancellation
+            return t**p * math.expm1(p * math.log1p(dt / t)) / p, 0.0
 
     else:
-        h0 = getattr(b, "h0", math.inf)  # a temperature face has no film
-        datum = b.t0 if h0 == math.inf else b.t_inf
-
         def inflow(t: float, dt: float) -> tuple[float, float]:
             t1 = t + dt
-            # dt / resistance first: dt * datum under- or overflows at
-            # extreme time scales, where the quotient does not.
-            g = dt / (math.sqrt(t1) / h0 + dx / (2.0 * k))
-            if g == 0.0:  # sqrt(t1) / h0 may overflow where g does not underflow
-                root = math.sqrt(t1)
-                resistance = 1.0 / h0 + dx / (2.0 * k * root)
-                g = dt / root / resistance if 0.0 < resistance < math.inf else 0.0
-                if not 0.0 < g < math.inf:
-                    raise OverflowError(f"the face conductance dt / (sqrt(t + dt) / h0 + "
-                                        f"dx / (2 k)) over the step from t={t} is {g}, "
-                                        f"outside double range (h0 = {h0}, k = {k})")
-            return g * datum * t1 ** (alpha / 2.0), g
+            g = dt / (math.sqrt(t1) / h0 + dx / 2.0)
+            return g * t1 ** (alpha / 2.0), g
 
     return inflow
 
@@ -203,16 +184,30 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
     None; a closed form of another problem raises ValueError.  A cold start
     never reads it."""
     import numpy as np
-    nx = cfg.nx
-    dx = cfg.domain_length / nx
-    x_centers = (np.arange(nx) + 0.5) * dx
-    heat_capacity = problem.k * dx / problem.d  # per area
-    conductance = problem.k / dx  # interior face conductance
-    t0 = cfg.start_fraction * cfg.t_end
+    nx, alpha, face = cfg.nx, problem.alpha, problem.boundary
+    length, t_end = cfg.domain_length, cfg.t_end
+    log_l, log_t, log_k = math.log(length), math.log(t_end), math.log(problem.k)
+    if isinstance(face, Flux):
+        h0, log_u = None, math.log(face.c) + log_l + (alpha - 1.0) / 2.0 * log_t - log_k
+    else:  # a temperature face is the convective face with h0 = inf
+        h0 = getattr(face, "h0", math.inf)
+        log_u = math.log(face.t0 if h0 == math.inf else face.t_inf) + alpha / 2.0 * log_t
+        log_h0 = math.log(h0) + log_l - log_k - log_t / 2.0
+        h0 = math.inf if log_h0 >= _LOG_MAX else _group("h0 L / (k sqrt(T))", log_h0)
+    d = _group("d T / L**2", math.log(problem.d) + log_t - 2.0 * log_l)
+    gamma = _group("gamma L**(alpha+2) / (k T U)", math.log(problem.gamma)
+                   + (alpha + 2.0) * log_l - log_k - log_t - log_u)
+    # U = unit * 2**shift may lie outside double range where the field does not.
+    shift = round(log_u / math.log(2.0))
+    unit = math.exp(log_u - shift * math.log(2.0))
+
+    dx = 1.0 / nx
+    x = (np.arange(nx) + 0.5) * dx
+    heat_capacity = dx / d  # per area
+    t0 = cfg.start_fraction
 
     # u past the block and w are scratch; v_i overwrites u_i in the sweep.
-    with np.errstate(over="ignore"):
-        lam = (problem.gamma * x_centers**problem.alpha * dx).tolist()
+    lam = (gamma * x**alpha * dx).tolist()
     u = [0.0] * nx
     w = [0.0] * nx
     h_m = 0.0
@@ -221,51 +216,44 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
         sol = solve_front(problem) if closed_form is None else closed_form
         if sol.problem != problem:
             raise ValueError("closed form and oracle describe different problems")
-        s0 = sol.front_position(t0)
-        # Cells with right edge below s0.  A quotient up to 4 eps below an
-        # integer counts as that integer: verify's default domain makes
+        # Cells with right edge below the front s0.  A quotient up to 4 eps
+        # below an integer counts as that integer: verify's default domain makes
         # s0 / dx exactly nx / 40, and the last bit of the quotient would
         # decide whether cell m starts melted or as an empty front cell.
-        cells = s0 / dx
+        cells = sol.front_position(t0 * t_end) / length * nx
         m = int(cells * (1.0 + 4.0 * sys.float_info.epsilon))
-        _check_room(m, nx, t0)
-        u[:m] = sol.temperature(x_centers[:m], t0).tolist()
+        _check_room(m, nx, t0 * t_end)
+        u[:m] = np.ldexp(sol.temperature(x[:m] * length, t0 * t_end) / unit, -shift).tolist()
         h_m = max(cells - m, 0.0) * lam[m]
 
-    # lam grows with the cell index: every front cell's lies in [lam[m], lam[-1]].
-    for name, value in (("heat capacity k * dx / d", heat_capacity),
-                        ("face conductance k / dx", conductance),
-                        (f"latent heat gamma * x**alpha * dx of cell {m}", lam[m]),
-                        (f"latent heat gamma * x**alpha * dx of cell {nx - 1}", lam[-1])):
-        if not 0.0 < value < math.inf:
-            raise OverflowError(f"the {name} is {value} at dx={dx}, outside double range")
+    # Every front cell's lam lies in [lam[m], gamma dx]: only lam[m] can leave double range.
+    if lam[m] == 0.0:
+        raise OverflowError(f"the oracle's latent heat gamma x**alpha dx of cell {m} is 0.0")
 
     def energy() -> float:
         return math.fsum(lam[:m]) + heat_capacity * math.fsum(u[:m]) + h_m
 
-    inflow = _face_inflow(problem, dx)
+    inflow = _face_inflow(alpha, h0, dx)
     energy_start = energy()
     energy_in = 0.0
-    snap_times = iter(np.linspace(t0, cfg.t_end, _N_SNAPSHOTS + 1)[1:].tolist())
+    snap_at = np.linspace(t0 * t_end, t_end, _N_SNAPSHOTS + 1)[1:].tolist()
+    snap_times = iter([t / t_end for t in snap_at])
     snapshots: list[tuple[float, np.ndarray]] = []
 
     lam_m = lam[m]
     step_scale = 2.0 * _DT_SAFETY * dx
     m_start = m
-    t, t_end = t0, cfg.t_end
+    t = t0
     t_snap = next(snap_times)
     s = (m + h_m / lam_m) * dx  # the block plus the liquid fraction of cell m
     times, fronts = [t], [s]
-    while t < t_end:
+    while t < 1.0:
         t_new = t + step_scale * (t / (s if s > dx else dx))
         if t_snap < t_new:
             t_new = t_snap
         dt = t_new - t
         a, b = inflow(t, dt)
-        rdt = conductance * dt
-        if rdt == math.inf:
-            raise OverflowError(f"the step conductance k dt / dx = {conductance} * {dt} "
-                                f"overflows double precision at t={t}")
+        rdt = dt / dx
         # Semismooth Newton: cell m joins the block when its inflow melts it.
         c1 = heat_capacity / rdt
         c = c1 + 2.0
@@ -281,7 +269,7 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
                 break
             u[m] = (h_m - lam_m) / heat_capacity
             h_m, swept, m = 0.0, m, m + 1
-            _check_room(m, nx, t_new)
+            _check_room(m, nx, t_new * t_end)
             lam_m = lam[m]
         h_m = h_front
         u_i = 0.0
@@ -296,22 +284,20 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
         if t >= t_snap:
             snap = np.zeros(nx)
             snap[:m] = u[:m]
-            snapshots.append((t, snap))
-            t_snap = next(snap_times, t_end)
+            snapshots.append((snap_at[len(snapshots)], snap))
+            t_snap = next(snap_times, 1.0)
 
-    energy_end = energy()
     drift_scale = max(abs(energy_in), abs(energy_start), 1e-300)
-    drift = abs(energy_end - energy_start - energy_in) / drift_scale
-    if not math.isfinite(drift):
-        raise OverflowError(f"the heat balance leaves double range (drift {drift})")
+    with np.errstate(over="ignore"):  # inf past double range, where the closed form raises
+        snapshots = [(t, np.ldexp(u * unit, shift)) for t, u in snapshots]
     return OracleResult(
         problem=problem,
         config=cfg,
-        x_centers=x_centers,
-        times=np.asarray(times),
-        front_positions=np.asarray(fronts),
+        x_centers=x * length,
+        times=np.asarray(times) * t_end,
+        front_positions=np.asarray(fronts) * length,
         temperature_snapshots=tuple(snapshots),
-        energy_balance_drift=drift,
+        energy_balance_drift=abs(energy() - energy_start - energy_in) / drift_scale,
         # one Newton iteration per step, plus one per cell it melted
         newton_iterations=len(times) - 1 + m - m_start,
     )

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from stefan_kummer import ProblemSpec, Convective, Flux, Temperature, solve_front
 from stefan_kummer import cli, oracle, stefan
@@ -569,29 +574,14 @@ def test_verify_failure_exits_1(tmp_path):
 def test_verify_small_domain_exits_3(capsys):
     cases = [
         ([*FIG9_ARGS, "--t-end", "0.25", "--domain-length", "0.05"], "domain end"),
-        # The front cell's latent heat underflowed to 0: a ZeroDivisionError.
-        (["--alpha", "2", "--t0", "1", "--t-end", "1e-250"], "latent heat"),
-        (["--alpha", "2", "--c", "1", "--t-end", "1e-250"], "latent heat"),
-        # k * dx / d underflows to 0: a ZeroDivisionError when a cell melted.
+        # k * dx / d underflowed to 0: a ZeroDivisionError when a cell melted.
+        # In the oracle's units d T / L**2 is exp(843).
         (["--alpha", "0", "--gamma", "6.484635275290033e+131", "--d", "1.6295036599880675e+138",
           "--k", "1.2475351221319354e-197", "--t0", "2.156440632642995e+99",
-          "--t-end", "8.407991796155201e+31"], "heat capacity"),
-        # x_centers**alpha overflows: a RuntimeWarning, then exit 2 for nan in the JSON.
-        (["--alpha", "2", "--gamma", "2.384577139409586e-213", "--d", "2.693844104225944e+287",
-          "--k", "9.876967585749186e+82", "--t0", "1.7216093109904598e-176",
-          "--t-end", "7.570726778746863e+269"], "latent heat"),
-        # The heat let in overflows: exit 2 for inf in the JSON.
-        (["--alpha", "1", "--gamma", "2.0362974503410035e+249", "--d", "1.5523094173510963e-127",
-          "--k", "5.187027118508832e-249", "--h0", "9.74890713996387e+220",
-          "--tinf", "8.080654494046517e+191", "--t-end", "1.059370657381842e+202"],
-         "heat balance"),
-        # k dt / dx overflowed to inf: every cell melted in one step, and the
-        # record read "front reached the domain end" (nu 1.7e-85).
-        (["--alpha", "0", "--gamma", "1.4858905820546746e+100", "--d", "7.21833045216101e+20",
-          "--k", "1.1968951093145203e+246", "--c", "6.601333133298238e+25",
-          "--t-end", "3.773240374458542e+125"], "k dt / dx"),
-        # c t**p = 1e312 at t = 1e8 on the first step.
-        (["--alpha", "2", "--c", "1e300", "--t-end", "1e10"], "flux inflow c t**p"),
+          "--t-end", "8.407991796155201e+31"], "d T / L**2"),
+        # c t**p = 1e312 at t = 1e8 on the first step; the field nears
+        # double range, and at nx 60 the front reaches the domain end.
+        (["--alpha", "2", "--c", "1e300", "--t-end", "1e10"], "domain end"),
     ]
     for args, cause in cases:
         assert run(["verify", *args, "--nx-oracle", "60"]) == 3
@@ -599,6 +589,31 @@ def test_verify_small_domain_exits_3(capsys):
         assert record["error"] == "numerical-failure"
         assert cause in record["detail"]
 
+
+@pytest.mark.parametrize("args", [
+    # The front cell's latent heat underflowed to 0: a ZeroDivisionError.
+    ["--alpha", "2", "--t0", "1", "--t-end", "1e-250"],
+    ["--alpha", "2", "--c", "1", "--t-end", "1e-250"],
+    # x_centers**alpha overflowed: a RuntimeWarning, then exit 2 for nan in the JSON.
+    ["--alpha", "2", "--gamma", "2.384577139409586e-213", "--d", "2.693844104225944e+287",
+     "--k", "9.876967585749186e+82", "--t0", "1.7216093109904598e-176",
+     "--t-end", "7.570726778746863e+269"],
+    # The heat let in overflowed: exit 2 for inf in the JSON.  In the oracle's
+    # units h0 L / (k sqrt(T)) is past double range: the temperature face.
+    ["--alpha", "1", "--gamma", "2.0362974503410035e+249", "--d", "1.5523094173510963e-127",
+     "--k", "5.187027118508832e-249", "--h0", "9.74890713996387e+220",
+     "--tinf", "8.080654494046517e+191", "--t-end", "1.059370657381842e+202"],
+    # k dt / dx overflowed to inf: every cell melted in one step, and the
+    # record read "front reached the domain end" (nu 1.7e-85).
+    ["--alpha", "0", "--gamma", "1.4858905820546746e+100", "--d", "7.21833045216101e+20",
+     "--k", "1.1968951093145203e+246", "--c", "6.601333133298238e+25",
+     "--t-end", "3.773240374458542e+125"],
+])
+def test_verify_runs_where_raw_oracle_products_left_double_range(tmp_path, args):
+    # Each of these exited 3 while the oracle multiplied raw data.
+    out = tmp_path / "verify.json"
+    assert run(["verify", *args, "--nx-oracle", "400", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_verify_warm_start_independent_of_time_scale(tmp_path):
@@ -643,12 +658,72 @@ def test_verify_flux_inflow_where_only_t_power_overflows(tmp_path):
     ["--alpha", "2.0", "--gamma", "1.0401108748288755e-216", "--d", "6.408880674026249e+231",
      "--k", "4.8518971012034924e+129", "--c", "5.891751553450586e+74",
      "--t-end", "2.617346521902866e-249"],
+    # Flux: the front stood still at drift 1.0, the field underflowing near 1e-341.
+    ["--alpha", "0.4", "--gamma", "19635275319750.152", "--d", "7.610546370853697e-157",
+     "--k", "2.7620330251098462e+171", "--c", "3.6092845677726654e-121",
+     "--t-end", "1.300427538975883e+59"],
 ])
 def test_verify_heat_enters_where_the_direct_face_form_reads_0(tmp_path, args):
     # These ran 24 steps at front error 0.9 with the front standing still.
     out = tmp_path / "verify.json"
     assert run(["verify", *args, "--nx-oracle", "400", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"]
+
+
+
+# The three bench base cases: a family's fixed data, and its face datum.
+_BENCH_CASES = {
+    "convective": (["--alpha", "0.4", "--h0", "0.5"], "--tinf"),
+    "temperature": (["--alpha", "0.4"], "--t0"),
+    "flux": (["--alpha", "2"], "--c"),
+}
+
+
+def verify_at_nx_100(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", *argv, "--nx-oracle", "100"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def unscaled_bench_run(family):
+    head, datum = _BENCH_CASES[family]
+    code, out, _ = verify_at_nx_100([*head, datum, "1"])
+    return code, json.loads(out)
+
+
+@settings(max_examples=36, deadline=None)
+@given(family=st.sampled_from(sorted(_BENCH_CASES)),
+       time_exp=st.floats(min_value=-300.0, max_value=300.0),
+       data_exp=st.floats(min_value=-250.0, max_value=250.0))
+# The oracle's latent heat of the last cell, gamma x**alpha dx, overflowed.
+@example(family="flux", time_exp=205.0, data_exp=1.0)
+def test_verify_invariant_under_time_and_data_scale(family, time_exp, data_exp):
+    # t_end times 10**time_exp, and gamma and the face datum together times
+    # 10**data_exp, leave nu and the scaled problem as they are.
+    head, datum = _BENCH_CASES[family]
+    scale, t_end = 10.0**data_exp, 10.0**time_exp
+    code, out, err = verify_at_nx_100([*head, "--gamma", repr(scale), datum, repr(scale),
+                                       "--t-end", repr(t_end)])
+    if code == 3 and "the field in the melt overflows" in err:
+        reject()  # the closed form's field leaves double range: a true limit
+    assert code != 3, err
+    payload = json.loads(out)
+    # U, the oracle's temperature unit, the face datum's temperature at t_end.
+    alpha = float(head[1])
+    log_u = math.log(scale) + alpha / 2.0 * math.log(t_end)
+    if family == "flux":
+        log_u += math.log(payload["domain_length"]) - math.log(t_end) / 2.0
+    # Below the normal floats the warm start reads subnormal closed-form
+    # temperatures (see CHANGES.md).
+    assume(log_u >= math.log(sys.float_info.min))
+    base_code, base = unscaled_bench_run(family)
+    assert code == base_code, (payload, base)
+    for key in ("n_steps", "newton_iterations"):
+        assert payload[key] == base[key], (key, payload, base)
+    for key in ("max_front_err", "max_field_err"):
+        assert payload[key] == pytest.approx(base[key], rel=1e-9, abs=0.0), (key, payload)
 
 
 # ---- the wide domain ----

@@ -16,7 +16,6 @@ from stefan_kummer import (
     run_oracle,
     solve_front,
 )
-from stefan_kummer import oracle
 
 from _oracles import bisect, classical_stefan_residual
 
@@ -266,41 +265,6 @@ def test_temperature_nonnegative_and_zero_beyond_front():
 def test_comparison_report_fields():
     report = ComparisonReport(max_front_err=0.1, max_field_err=0.2)
     assert report.max_front_err == 0.1 and report.max_field_err == 0.2
-
-
-
-def test_flux_inflow_past_the_range_of_t_power():
-    # t**1.5 overflows at t = 1e250 while c t**1.5 = 1e75 does not: the heat
-    # let in over the step is then summed in logs.
-    problem = ProblemSpec(alpha=2.0, boundary=Flux(c=1e-300))
-    inflow = oracle._face_inflow(problem, 1.0)
-    t, dt = 1e250, 1e248
-    a, b = inflow(t, dt)
-    assert b == 0.0
-    assert a == pytest.approx(1e75 * (1.01**1.5 - 1.0) / 1.5, rel=1e-12)
-    with pytest.raises(OverflowError, match="flux inflow c t"):
-        oracle._face_inflow(ProblemSpec(alpha=2.0, boundary=Flux(c=1e100)), 1.0)(t, dt)
-
-def test_face_inflow_where_the_direct_form_lets_in_nothing():
-    # t**1.5 underflows at t = 1e-250 while c t**1.5 = 1e-75 does not.
-    flux = oracle._face_inflow(ProblemSpec(alpha=2.0, boundary=Flux(c=1e300)), 1.0)
-    assert flux(1e-250, 1e-252)[0] == pytest.approx(1e-75 * (1.01**1.5 - 1.0) / 1.5, rel=1e-12)
-    # sqrt(t + dt) / h0 = 1e450 overflows, so dt / (1e450 + 1/2) read 0.
-    convective = oracle._face_inflow(
-        ProblemSpec(alpha=0.0, boundary=Convective(h0=1e-300, t_inf=1.0)), 1.0)
-    a, g = convective(1e300, 1e298)
-    assert a == g == pytest.approx(1e298 / math.sqrt(1.01e300) / 1e300, rel=1e-12)
-
-
-@pytest.mark.parametrize("boundary,t,dt,match", [
-    (Flux(c=1e-300), 1e-300, 1e-302, "flux inflow"),
-    # the fallback's 2 k sqrt(t + dt) overflows for a temperature face
-    (Temperature(t0=1.0), 1e300, 1e-250, "face conductance"),
-])
-def test_face_inflow_that_no_form_keeps_positive_raises(boundary, t, dt, match):
-    problem = ProblemSpec(alpha=2.0, boundary=boundary, k=1e200)
-    with pytest.raises(OverflowError, match=match):
-        oracle._face_inflow(problem, 1e308)(t, dt)
 
 
 def test_cell_melts_fully_within_one_step():

@@ -39,7 +39,6 @@ _SERIES_TERM_CAP = 1_000_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
 _MIN_ARGUMENT = -200.0
-_LOG_MAX = 709.782712893384  # log of the largest double
 
 
 class NonConvergenceError(RuntimeError):
@@ -75,22 +74,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     if z < 0.0:
         m, _, e = _m_series(b - a, b, -z)
         m *= math.exp(z)
-    elif _peak_overflows(a, b, z):
-        return math.inf
     else:
         m, _, e = _m_series(a, b, z)
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
-
-
-def _peak_overflows(a: float, b: float, z: float) -> bool:
-    """Whether the largest term of M(a, b, z), at the root of (a + n) z = (b + n)(n + 1)
-    floored, is past double range; M is at least it for 0 < a, b <= the cap, a z > b."""
-    if not (0.0 < a <= _SERIES_TERM_CAP and 0.0 < b <= _SERIES_TERM_CAP and a * z > b):
-        return False
-    root = (z - b - 1.0 + math.hypot(z - b - 1.0, 2.0 * math.sqrt(a * z - b))) / 2.0
-    n = math.floor(root) if root < _SERIES_TERM_CAP / 2.0 else 0  # past it no sum settles
-    return (math.lgamma(a + n) - math.lgamma(a) + math.lgamma(b) - math.lgamma(b + n)
-            - math.lgamma(n + 1.0) + n * math.log(z)) > _LOG_MAX + 1.0
 
 
 def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, float]:

@@ -45,7 +45,8 @@ datum's temperature at T (c L T**((alpha-1)/2) / k for a flux face), where
 k, the face datum, the domain and the horizon are 1.  The data enter as
 d T / L**2, gamma L**(alpha+2) / (k T U) and h0 L / (k sqrt(T)), each formed
 from logs; outside the normal floats each raises OverflowError, but an h0
-group past double range is the temperature face.  The records scale back.
+group past double range is the temperature face.  U may pass double range
+but not fall under the normal floats.  The records scale back.
 
 The state is the block temperatures u_i and the front cell's heat h_m, as
 Python lists (scalar loops run faster on lists than on array elements).
@@ -141,9 +142,9 @@ class ComparisonReport:
 
 
 def _group(name: str, log_value: float) -> float:
-    """The scaled coefficient exp(log_value), the one range check."""
+    """The scaled number exp(log_value), the one range check."""
     if not _LOG_MIN <= log_value < _LOG_MAX:
-        raise OverflowError(f"the oracle's group {name} is exp({log_value}), not a normal float")
+        raise OverflowError(f"the oracle's {name} is exp({log_value}), not a normal float")
     return math.exp(log_value)
 
 
@@ -193,11 +194,14 @@ def run_oracle(problem: ProblemSpec, cfg: OracleConfig,
         h0 = getattr(face, "h0", math.inf)
         log_u = math.log(face.t0 if h0 == math.inf else face.t_inf) + alpha / 2.0 * log_t
         log_h0 = math.log(h0) + log_l - log_k - log_t / 2.0
-        h0 = math.inf if log_h0 >= _LOG_MAX else _group("h0 L / (k sqrt(T))", log_h0)
-    d = _group("d T / L**2", math.log(problem.d) + log_t - 2.0 * log_l)
-    gamma = _group("gamma L**(alpha+2) / (k T U)", math.log(problem.gamma)
+        h0 = math.inf if log_h0 >= _LOG_MAX else _group("group h0 L / (k sqrt(T))", log_h0)
+    # U = unit * 2**shift may pass double range where the field does not.  Under
+    # the normal floats the closed-form field that the warm start and the
+    # comparison read would be subnormal, or 0.
+    _group("unit U (the face datum's temperature at T)", min(log_u, 0.0))
+    d = _group("group d T / L**2", math.log(problem.d) + log_t - 2.0 * log_l)
+    gamma = _group("group gamma L**(alpha+2) / (k T U)", math.log(problem.gamma)
                    + (alpha + 2.0) * log_l - log_k - log_t - log_u)
-    # U = unit * 2**shift may lie outside double range where the field does not.
     shift = round(log_u / math.log(2.0))
     unit = math.exp(log_u - shift * math.log(2.0))
 

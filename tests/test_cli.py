@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stefan_kummer import ProblemSpec, Convective, Flux, Temperature, solve_front
@@ -582,6 +582,11 @@ def test_verify_small_domain_exits_3(capsys):
         # c t**p = 1e312 at t = 1e8 on the first step; the field nears
         # double range, and at nx 60 the front reaches the domain end.
         (["--alpha", "2", "--c", "1e300", "--t-end", "1e10"], "domain end"),
+        # Flux: the front stood still at drift 1.0.  The field's unit U is
+        # exp(-863), so the closed-form field is subnormal or 0.
+        (["--alpha", "0.4", "--gamma", "19635275319750.152", "--d", "7.610546370853697e-157",
+          "--k", "2.7620330251098462e+171", "--c", "3.6092845677726654e-121",
+          "--t-end", "1.300427538975883e+59"], "unit U"),
     ]
     for args, cause in cases:
         assert run(["verify", *args, "--nx-oracle", "60"]) == 3
@@ -658,10 +663,6 @@ def test_verify_flux_inflow_where_only_t_power_overflows(tmp_path):
     ["--alpha", "2.0", "--gamma", "1.0401108748288755e-216", "--d", "6.408880674026249e+231",
      "--k", "4.8518971012034924e+129", "--c", "5.891751553450586e+74",
      "--t-end", "2.617346521902866e-249"],
-    # Flux: the front stood still at drift 1.0, the field underflowing near 1e-341.
-    ["--alpha", "0.4", "--gamma", "19635275319750.152", "--d", "7.610546370853697e-157",
-     "--k", "2.7620330251098462e+171", "--c", "3.6092845677726654e-121",
-     "--t-end", "1.300427538975883e+59"],
 ])
 def test_verify_heat_enters_where_the_direct_face_form_reads_0(tmp_path, args):
     # These ran 24 steps at front error 0.9 with the front standing still.
@@ -699,6 +700,8 @@ def unscaled_bench_run(family):
        data_exp=st.floats(min_value=-250.0, max_value=250.0))
 # The oracle's latent heat of the last cell, gamma x**alpha dx, overflowed.
 @example(family="flux", time_exp=205.0, data_exp=1.0)
+# U is exp(-745): the field was read subnormal, and the run took 118 steps, not 119.
+@example(family="flux", time_exp=-74.0, data_exp=-250.0)
 def test_verify_invariant_under_time_and_data_scale(family, time_exp, data_exp):
     # t_end times 10**time_exp, and gamma and the face datum together times
     # 10**data_exp, leave nu and the scaled problem as they are.
@@ -708,17 +711,18 @@ def test_verify_invariant_under_time_and_data_scale(family, time_exp, data_exp):
                                        "--t-end", repr(t_end)])
     if code == 3 and "the field in the melt overflows" in err:
         reject()  # the closed form's field leaves double range: a true limit
+    base_code, base = unscaled_bench_run(family)
+    # U, the oracle's temperature unit, the face datum's temperature at t_end:
+    # the unscaled run's times scale * t_end**(alpha/2).
+    log_u = math.log(scale) + float(head[1]) / 2.0 * math.log(t_end)
+    if family == "flux":
+        log_u += math.log(base["domain_length"])
+    if log_u < math.log(sys.float_info.min):
+        # the closed-form field would be subnormal: a true limit, on record
+        assert code == 3 and "unit U" in err, (code, err)
+        return
     assert code != 3, err
     payload = json.loads(out)
-    # U, the oracle's temperature unit, the face datum's temperature at t_end.
-    alpha = float(head[1])
-    log_u = math.log(scale) + alpha / 2.0 * math.log(t_end)
-    if family == "flux":
-        log_u += math.log(payload["domain_length"]) - math.log(t_end) / 2.0
-    # Below the normal floats the warm start reads subnormal closed-form
-    # temperatures (see CHANGES.md).
-    assume(log_u >= math.log(sys.float_info.min))
-    base_code, base = unscaled_bench_run(family)
     assert code == base_code, (payload, base)
     for key in ("n_steps", "newton_iterations"):
         assert payload[key] == base[key], (key, payload, base)

@@ -3,9 +3,9 @@
 Provides the confluent hypergeometric function M(a, b, z) of the first
 kind, its z-derivative, the logarithm of the scaled function e^-z M
 (with its first two log-derivatives) for a, b > 0 and z >= 0, which unlike
-M never overflows, alone or for the two series of the front equation summed
-in one pass, checked wrappers of ``math.gamma`` and ``math.erfc``, and
-the repeated integrals i^n erfc used by the integer-exponent closed forms.
+M never overflows and whose positive series is summed by a loop of its own,
+checked wrappers of ``math.gamma`` and ``math.erfc``, and the repeated
+integrals i^n erfc used by the integer-exponent closed forms.
 
 All functions here take floats and are pure functions of their
 arguments with no shared mutable state; they are safe to call from any
@@ -21,7 +21,6 @@ __all__ = [
     "kummer_m",
     "kummer_m_derivative",
     "log_kummer_m_scaled",
-    "log_kummer_m_scaled_pair",
     "gamma_fn",
     "erfc",
     "iterated_erfc",
@@ -33,8 +32,8 @@ INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi)
 
 _SERIES_RTOL = 1e-16
 # Above z = 30 a series whose first DLMF 13.7.2 ratio is at least 1
-# (a**2 >~ z) is summed by _m_series, whose tail bound needs a term ratio of
-# at most 1/2: about 2z + 2a terms, past 10_000 for front roots nu >~ 70.
+# (a**2 >~ z) is summed term by term, and its tail bound needs a term ratio
+# of at most 1/2: about 2z + 2a terms, past 10_000 for front roots nu >~ 70.
 _SERIES_TERM_CAP = 1_000_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
@@ -92,10 +91,13 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
 
     is summed while its terms fall, and taken where the last of them and a
     bound on the exponentially small part it omits are below 1e-16 of S.
-    Elsewhere the series is summed with a running rescale (``_m_series``)
-    and z subtracted.  L is good to about 1e-16 of max(1, |L|) above z = 30
-    and of max(1, z) below, and z L' + z = z M'/M to about 1e-14 relative.
-    d(z L')/dy sums no more terms: see ``_curvature``.
+    Elsewhere the series of M, whose terms are all positive, is summed with
+    the steps and the stop of ``_m_series`` and z subtracted; a sum that
+    reaches 2**500 ends that loop at once, and ``_m_series`` sums the series
+    again with its running rescale.  L is good to about 1e-16 of
+    max(1, |L|) above z = 30 and of max(1, z) below, and z L' + z = z M'/M
+    to about 1e-14 relative.  d(z L')/dy sums no more terms: see
+    ``_curvature``.
     """
     if not (a > 0.0 and b > 0.0 and 0.0 <= z < math.inf):
         raise ValueError(
@@ -121,6 +123,20 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
             zl = a - b - slope / total
             return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z + math.log(total),
                     zl, _curvature(a, b, z, zl))
+    term = total = 1.0
+    slope = 0.0
+    for s in range(_SERIES_TERM_CAP):
+        n = s + 1.0
+        term *= (a + s) / ((b + s) * n) * z
+        total += term
+        slope += n * term
+        if not total < 2.0**500:
+            break
+        if term <= _SERIES_RTOL * total and (term == 0.0 or (
+                z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
+                else z <= 0.5 * (n + 1.0))):
+            zl = slope / total - z
+            return math.log(total) - z, zl, _curvature(a, b, z, zl)
     m, zm, e = _m_series(a, b, z)
     zl = zm / m - z
     return math.log(m) + e * math.log(2.0) - z, zl, _curvature(a, b, z, zl)
@@ -135,48 +151,6 @@ def _curvature(a: float, b: float, z: float, zl: float) -> float:
     cancel: 2 (z (a - b - l) + (1 - b) l - l**2).  The rounding of l, which
     is O(z) where the expansion is not taken, enters times z."""
     return 2.0 * (z * (a - b - zl) + (1.0 - b) * zl - zl * zl)
-
-
-def log_kummer_m_scaled_pair(a: float, z: float) -> tuple[float, ...]:
-    """``log_kummer_m_scaled(a + 1, 3/2, z) + log_kummer_m_scaled(a + 1/2, 1/2, z)``,
-    the logs of the front equation's two series, for a > -1/2.
-
-    Up to z = 30 both series are summed in one loop, each with the terms
-    and the stop of ``_m_series``, so each value is the one that the two
-    calls return.  Above z = 30, and where a sum reaches 2**500 (large a),
-    the two calls are made.
-    """
-    if not (a > -0.5 and 0.0 <= z <= 30.0):
-        return log_kummer_m_scaled(a + 1.0, 1.5, z) + log_kummer_m_scaled(a + 0.5, 0.5, z)
-    a_o, a_e = a + 1.0, a + 0.5
-    term_o = total_o = term_e = total_e = 1.0
-    slope_o = slope_e = 0.0
-    open_o = open_e = True
-    # Steps of _m_series at b = 3/2 and at b = 1/2, whose terms are all
-    # positive here; a sum past 2**500 (inf at worst) is caught after the loop.
-    for s in range(_SERIES_TERM_CAP):
-        n = s + 1.0
-        if open_o:
-            term_o *= (a_o + s) / ((1.5 + s) * n) * z
-            total_o += term_o
-            slope_o += n * term_o
-            open_o = not (term_o <= _SERIES_RTOL * total_o and (term_o == 0.0 or (
-                z * (a_o + n) <= 0.5 * (1.5 + n) * (n + 1.0) if a_o >= 1.5
-                else z <= 0.5 * (n + 1.0))))
-        if open_e:
-            term_e *= (a_e + s) / ((0.5 + s) * n) * z
-            total_e += term_e
-            slope_e += n * term_e
-            open_e = not (term_e <= _SERIES_RTOL * total_e and (term_e == 0.0 or (
-                z * (a_e + n) <= 0.5 * (0.5 + n) * (n + 1.0) if a_e >= 0.5
-                else z <= 0.5 * (n + 1.0))))
-        elif not open_o:
-            if total_o < 2.0**500 and total_e < 2.0**500:
-                zl_o, zl_e = slope_o / total_o - z, slope_e / total_e - z
-                return (math.log(total_o) - z, zl_o, _curvature(a_o, 1.5, z, zl_o),
-                        math.log(total_e) - z, zl_e, _curvature(a_e, 0.5, z, zl_e))
-            break
-    return log_kummer_m_scaled(a + 1.0, 1.5, z) + log_kummer_m_scaled(a + 0.5, 0.5, z)
 
 
 def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:

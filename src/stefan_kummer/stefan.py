@@ -35,17 +35,17 @@ takes logs: in y = log x, with z = x^2, it finds the root of
 
 a relative residual of the front equation.  log(C g) is a sum of logs of
 the data and log D~ is summed from ``log_kummer_m_scaled`` (the log of
-e^-z M, of size log z) of its (one or two) positive terms, both summed in
-one loop (``log_kummer_m_scaled_pair``) where both are needed, so G is
-finite for every y.  The same sums give G' and G''.  G is concave and
-decreasing, so Newton's method converges monotonically after its first
-step.  It starts at the root of a model of G that replaces each log of
-e^-z M by its leading term for large z, which sums no series.  Where
-|G G''| <= G'**2, near the root, each step is Halley's third-order step,
-and elsewhere Newton's.  The last step is the one that the cubic rate
-predicts to be below eps, or the one from |G| within its rounding (at
-least 1e-12).  The evaluation that gives the coefficients by Cramer's rule,
-A = g g_o / D and B = -g g_e / D, also gives G there, and confirms the root.
+e^-z M, of size log z) of its (one or two) positive terms, one call for
+each series that is needed, so G is finite for every y.  The same sums
+give G' and G''.  G is concave and decreasing, so Newton's method
+converges monotonically after its first step.  It starts at the root of
+a model of G that replaces each log of e^-z M by its leading term for
+large z, which sums no series.  Where |G G''| <= G'**2, near the root,
+each step is Halley's third-order step, and elsewhere Newton's.  The last
+step is the one that the cubic rate predicts to be below eps, or the one
+from |G| within its rounding (at least 1e-12).  The evaluation that gives
+the coefficients by Cramer's rule, A = g g_o / D and B = -g g_e / D, also
+gives G there, and confirms the root.
 
 The field is not summed from that formula, whose two terms grow like
 eta^alpha and cancel in the melt: ``SimilaritySolution`` walks the profile
@@ -71,8 +71,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kummer import (NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled,
-                     log_kummer_m_scaled_pair)
+from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
 
 __all__ = [
     "BracketNotFoundError",
@@ -226,8 +225,9 @@ def _front_g(problem: ProblemSpec):
     root of a model of G that sums no series.
 
     D~ = e^-z D = p x M~_o - q kappa M~_e, M~ = e^-z M, with logs L, z L'
-    and d(z L')/dy from ``log_kummer_m_scaled`` (``log_kummer_m_scaled_pair``
-    where both series are summed).  log D~ = t + log1p(w) from the logs
+    and d(z L')/dy from one ``log_kummer_m_scaled`` call for each series
+    with a nonzero coefficient in D, or for both with ``coefficients``
+    (``_UNSUMMED`` for the other).  log D~ = t + log1p(w) from the logs
     t_o = log p + y + L_o and t_e = log(|q| kappa) + L_e of its terms, t the
     larger, t' the other and w = e^(t' - t) <= 1.  With pi = 1 / (1 + w),
     G' = -2z - (pi dt/dy + (1 - pi) dt'/dy) - (alpha+1) and
@@ -273,12 +273,8 @@ def _front_g(problem: ProblemSpec):
     def front(y: float, coefficients: bool = False):
         z = math.exp(2.0 * y)
         # (L, z L', d(z L')/dy) of the odd series, then of the even one.
-        if coefficients or p and q:
-            logs = log_kummer_m_scaled_pair(a, z)
-        elif p:
-            logs = log_kummer_m_scaled(a + 1.0, 1.5, z) + _UNSUMMED
-        else:
-            logs = _UNSUMMED + log_kummer_m_scaled(a + 0.5, 0.5, z)
+        logs = ((log_kummer_m_scaled(a + 1.0, 1.5, z) if p or coefficients else _UNSUMMED)
+                + (log_kummer_m_scaled(a + 0.5, 0.5, z) if q or coefficients else _UNSUMMED))
         value, slopes, log_d = residual(y, z, *logs)
         rounding = max(_RESIDUAL_TOL, 4.0 * _EPS
                        * (abs(log_cg) + z + abs(log_d) + (alpha + 1.0) * abs(y)))

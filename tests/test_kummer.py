@@ -1,7 +1,6 @@
 import math
 import random
 import struct
-import sys
 import time
 
 import numpy as np
@@ -20,7 +19,7 @@ from stefan_kummer import (
     kummer_m_derivative,
 )
 from stefan_kummer import kummer as kummer_module
-from stefan_kummer.kummer import log_kummer_m_scaled, log_kummer_m_scaled_pair
+from stefan_kummer.kummer import log_kummer_m_scaled
 
 from _oracles import direct_series_m
 
@@ -88,20 +87,12 @@ def test_accuracy_against_arbitrary_precision():
                 assert err <= tol, (a, b, z, err)
 
 
-def test_log_form_against_arbitrary_precision(monkeypatch):
+def test_log_form_against_arbitrary_precision():
     # Log-uniform a and z on both sides of the switch to the large-argument
     # expansion, which runs only where it is accurate.
     mp = pytest.importorskip("mpmath")
-    series_calls = []
-    real = kummer_module._m_series
-
-    def counting(a, b, z):
-        series_calls.append(z)
-        return real(a, b, z)
-
-    monkeypatch.setattr(kummer_module, "_m_series", counting)
     r = random.Random(3)
-    above = 0
+    above = summed = 0
     with mp.workdps(40):
         for _ in range(400):
             a = math.exp(r.uniform(math.log(1e-3), math.log(26.0)))
@@ -109,6 +100,7 @@ def test_log_form_against_arbitrary_precision(monkeypatch):
             z = math.exp(r.uniform(math.log(1e-6), math.log(1e5)))
             above += z > 30.0
             scaled, zm, curvature = log_kummer_m_scaled(a, b, z)
+            summed += z > 30.0 and (scaled, zm, curvature) == _series_branch(a, b, z)
             m = mp.hyp1f1(a, b, z)
             ref_log = float(mp.log(m))
             ref_scaled = float(mp.log(m) - z)
@@ -119,7 +111,14 @@ def test_log_form_against_arbitrary_precision(monkeypatch):
             # 1e-12 of the front residual's G'', which holds -4z.
             ref_curvature = _mp_curvature(mp, a, b, z)
             assert abs(curvature - ref_curvature) <= 1e-12 * (1.0 + z), (a, b, z)
-    assert 0 < sum(z > 30.0 for z in series_calls) < above
+    assert 0 < summed < above
+
+
+def _series_branch(a, b, z):
+    """(L, z L', d(z L')/dy) of log_kummer_m_scaled summed by _m_series alone."""
+    m, zm, e = kummer_module._m_series(a, b, z)
+    zl = zm / m - z
+    return math.log(m) + e * math.log(2.0) - z, zl, kummer_module._curvature(a, b, z, zl)
 
 
 def _log_uniform(r, lo, hi):
@@ -234,29 +233,33 @@ def test_rescaled_series_past_2_to_500():
     assert log_kummer_m_scaled(1.2, 1.5, 800.0)[0] + 800.0 == pytest.approx(ref, rel=1e-15)
 
 
-def test_pair_matches_two_calls():
-    # One loop over both series of the front equation gives what two calls
-    # give: log-uniform z in [1e-300, 30] and a in (0, 30], then sums past
-    # 2**500 (large a, where the pair makes the two calls) and z above 30.
-    eps = sys.float_info.epsilon
+def test_positive_loop_matches_the_rescaled_series(monkeypatch):
+    # The loop over positive terms gives exactly what _m_series gives, for
+    # both series of the front equation at log-uniform z in [1e-300, 30] and
+    # a in (0, 30], then at sums past 2**500 (large a), which it hands to
+    # _m_series, and above z = 30 where a**2 > z skips the expansion: its
+    # first ratio (1 - a)(b - a) / z is then above 1.
     r = random.Random(12)
     cases = [(_log_uniform(r, 1e-12, 30.0), _log_uniform(r, 1e-300, 30.0)) for _ in range(400)]
     cases += [(a, z) for a in (1e3, 2e4, 1e5) for z in (1.0, 12.0, 30.0)]
-    cases += [(_log_uniform(r, 1e-3, 30.0), _log_uniform(r, 30.0, 1e4)) for _ in range(50)]
-    past = 0
-    for a, z in cases:
-        pair = log_kummer_m_scaled_pair(a, z)
-        for got, (b, shift) in zip((pair[:3], pair[3:]), ((1.5, 1.0), (0.5, 0.5))):
-            ref = log_kummer_m_scaled(a + shift, b, z)
-            assert abs(got[0] - ref[0]) <= 4.0 * eps * max(1.0, abs(ref[0])), (a, z, b)
-            assert abs(got[1] - ref[1]) <= 1e-14 * abs(ref[1]), (a, z, b)
-            assert abs(got[2] - ref[2]) <= 1e-14 * abs(ref[2]), (a, z, b)
-            past += z <= 30.0 and ref[0] + z > 500.0 * math.log(2.0)
-    assert past >= 10
-    with pytest.raises(ValueError):
-        log_kummer_m_scaled_pair(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        log_kummer_m_scaled_pair(1.0, math.nan)
+    for _ in range(50):
+        z = _log_uniform(r, 30.0, 1e4)
+        cases.append((math.sqrt(z) + _log_uniform(r, 1.0, 30.0), z))
+    # (a, b, z) of the odd and the even series.
+    cases = [(a + shift, b, z) for a, z in cases for b, shift in ((1.5, 1.0), (0.5, 0.5))]
+    refs = [_series_branch(*case) for case in cases]
+    fallbacks = []
+    real = kummer_module._m_series
+
+    def counting(a, b, z):
+        fallbacks.append(z)
+        return real(a, b, z)
+
+    monkeypatch.setattr(kummer_module, "_m_series", counting)
+    for case, ref in zip(cases, refs):
+        assert log_kummer_m_scaled(*case) == ref, case
+    assert len(fallbacks) >= 10
+    assert any(z <= 30.0 for z in fallbacks)
 
 
 def test_derivative_of_constant_is_zero():
@@ -486,14 +489,18 @@ def test_term_cap_raises(monkeypatch):
         kummer_m(-0.2, 0.5, -30.0)
 
 
-@pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6)])
+@pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6),
+                                   (2000.0, 1.5, 1e6), (2000.5, 0.5, 6e5), (1e5, 1.5, 2e6)])
 def test_series_that_cannot_settle_raises_at_once(a, b, z):
     # Every term ratio before the cap is above 1/2 here: summing up to the
-    # cap took 0.29 s at z = 1e7 before raising the same error.
-    start = time.perf_counter()
-    with pytest.raises(NonConvergenceError, match="did not settle"):
-        kummer_m(a, b, z)
-    assert time.perf_counter() - start < 0.05
+    # cap took 0.29 s at z = 1e7 before raising the same error.  The log
+    # form sums M(1, b, z) by its expansion; where a**2 > z it sums the
+    # series, and its positive loop hands the sum to _m_series at 2**500.
+    for fn in (kummer_m, log_kummer_m_scaled) if a * a > z else (kummer_m,):
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="did not settle"):
+            fn(a, b, z)
+        assert time.perf_counter() - start < 0.05, fn
 
 
 def test_series_ended_by_a_vanished_term_still_sums():

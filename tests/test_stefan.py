@@ -358,20 +358,14 @@ def test_coefficients_meet_both_conditions_at_extremes(p):
 def test_series_evaluation_budget(monkeypatch):
     import stefan_kummer.stefan as stefan
 
-    # Series sums: the pair kernel sums two.
     calls = []
-    real, real_pair = stefan.log_kummer_m_scaled, stefan.log_kummer_m_scaled_pair
+    real = stefan.log_kummer_m_scaled
 
     def counting(a, b, z):
         calls.append(z)
         return real(a, b, z)
 
-    def counting_pair(a, z):
-        calls.extend((z, z))
-        return real_pair(a, z)
-
     monkeypatch.setattr(stefan, "log_kummer_m_scaled", counting)
-    monkeypatch.setattr(stefan, "log_kummer_m_scaled_pair", counting_pair)
     cases = [
         (ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0)), 6),
         (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0)), 4),

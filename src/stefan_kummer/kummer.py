@@ -7,6 +7,10 @@ M never overflows and whose positive series is summed by a loop of its own,
 checked wrappers of ``math.gamma`` and ``math.erfc``, and the repeated
 integrals i^n erfc used by the integer-exponent closed forms.
 
+The series loops count their terms in a float rather than in range's int:
+CPython specializes float-float arithmetic only, and a float holds every
+count exactly, so the sums are the same to the bit and run faster.
+
 All functions here take floats and are pure functions of their
 arguments with no shared mutable state; they are safe to call from any
 number of threads.
@@ -38,6 +42,9 @@ _SERIES_TERM_CAP = 1_000_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
 _MIN_ARGUMENT = -200.0
+# kummer_m is inf where the log of one term of its series passes this:
+# log(2**1024) plus 1 of room for rounding.
+_LOG_OVERFLOW = 1024.0 * math.log(2.0) + 1.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -64,8 +71,10 @@ def kummer_m(a: float, b: float, z: float) -> float:
     for negative a at z <= 0; for negative a at positive z the series
     alternates and accuracy degrades (a few 1e-12 at a = -10, z = 9).
     Arguments below -200 raise ValueError, and past double range (near
-    z = 700 for moderate a) the value is inf.  Takes floats only: an array
-    z of more than one element raises TypeError.
+    z = 700 for moderate a) the value is inf: for a, b, z > 0 it is
+    returned before summing where the log of the largest term, from lgamma,
+    shows it.  Takes floats only: an array z of more than one element
+    raises TypeError.
     """
     _check_args(a, b, z)
     if z < _MIN_ARGUMENT:
@@ -73,9 +82,31 @@ def kummer_m(a: float, b: float, z: float) -> float:
     if z < 0.0:
         m, _, e = _m_series(b - a, b, -z)
         m *= math.exp(z)
+    elif a > 0.0 and b > 0.0 and z > 0.0 and _log_peak_term(a, b, z) > _LOG_OVERFLOW:
+        return math.inf
     else:
         m, _, e = _m_series(a, b, z)
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
+
+
+def _log_peak_term(a: float, b: float, z: float) -> float:
+    """A lower bound on log M(a, b, z) for a, b, z > 0, where every term of
+    the series is positive and below M: the log of term n, the first past
+    the larger root of (a+n) z = (b+n)(n+1), less a bound on its rounding.
+    The terms rise while their ratio (a+n) z / ((b+n)(n+1)) is above 1, so
+    where that root is real and positive term n is the largest; where it is
+    not, the bound is 0, the log of term 0, and where it passes double
+    range, n = ceil(z).  The log is lgamma(a+n) - lgamma(a) + lgamma(b)
+    - lgamma(b+n) - lgamma(n+1) + n log z, whose rounding is large only
+    where these parts pass about 1e14 and cancel."""
+    h = 0.5 * (z - b - 1.0)
+    root = h + math.sqrt(max(0.0, h * h + a * z - b))
+    if not root > 0.0:
+        return 0.0
+    n = math.ceil(root if root < math.inf else z)
+    parts = (math.lgamma(a + n), -math.lgamma(a), math.lgamma(b), -math.lgamma(b + n),
+             -math.lgamma(n + 1.0), n * math.log(z))
+    return sum(parts) - 1e-14 * sum(map(abs, parts))
 
 
 def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, float]:
@@ -103,8 +134,9 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
         raise ValueError(
             f"log_kummer_m_scaled needs a, b > 0 and finite z >= 0, got {(a, b, z)}")
     if z > 30.0:
-        term, total, slope = 1.0, 1.0, 0.0
-        for s in range(1, _SERIES_TERM_CAP):
+        term, total, slope, s = 1.0, 1.0, 0.0, 0.0
+        for _ in range(1, _SERIES_TERM_CAP):
+            s += 1.0
             ratio = (s - a) * (s - 1.0 + b - a) / (s * z)
             if not abs(ratio) < 1.0:
                 break
@@ -124,10 +156,11 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
             return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z + math.log(total),
                     zl, _curvature(a, b, z, zl))
     term = total = 1.0
-    slope = 0.0
-    for s in range(_SERIES_TERM_CAP):
+    slope = s = 0.0
+    for _ in range(_SERIES_TERM_CAP):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
+        s = n
         total += term
         slope += n * term
         if not total < 2.0**500:
@@ -176,9 +209,11 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
     exponent = 0
     least = 0.51 * _SERIES_TERM_CAP  # ratio 1/2, with room for rounding
     hopeless = z >= least and a > 0.0 and b > 0.0 and z * min(1.0, a / b) >= least
-    for s in range(0 if hopeless else _SERIES_TERM_CAP):
+    s = 0.0
+    for _ in range(0 if hopeless else _SERIES_TERM_CAP):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
+        s = n
         total += term
         slope += n * term
         if not -2.0**500 < total < 2.0**500:

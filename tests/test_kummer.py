@@ -42,6 +42,12 @@ def test_equal_parameters_reduce_to_exp():
     val = kummer_m(1.0, 1.0, 2.0)
     assert val == pytest.approx(math.exp(2.0), rel=1e-14)
     assert val == pytest.approx(direct_series_m(1.0, 1.0, 2.0, terms=200), rel=1e-14)
+    # Next to overflow M is summed, not taken as inf from its largest term,
+    # also where a and b near 1e17 put rounding of some 500 into that
+    # term's log (mpmath: M(9.75e16, 9.74e16, 601) = 1.90091214959175561e261).
+    assert kummer_m(1.0, 1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-13)
+    assert kummer_m(9.75e16, 9.74e16, 601.0) == pytest.approx(1.90091214959175561e261, rel=1e-13)
+    assert kummer_m(1e16, 1e16, 709.0) == pytest.approx(math.exp(709.0), rel=1e-13)
 
 
 def test_negative_argument_vs_direct_summation():
@@ -260,6 +266,104 @@ def test_positive_loop_matches_the_rescaled_series(monkeypatch):
         assert log_kummer_m_scaled(*case) == ref, case
     assert len(fallbacks) >= 10
     assert any(z <= 30.0 for z in fallbacks)
+
+
+# The series loops as they were written with range's int counter, kept as the
+# reference for the float counters of kummer.py: each operand is the same
+# double either way, so every result must be equal.  The log form also
+# returns which branch summed it.
+_RTOL = kummer_module._SERIES_RTOL
+_CAP = kummer_module._SERIES_TERM_CAP
+
+
+def _int_counter_log_kummer_m_scaled(a, b, z):
+    if z > 30.0:
+        term, total, slope = 1.0, 1.0, 0.0
+        for s in range(1, _CAP):
+            ratio = (s - a) * (s - 1.0 + b - a) / (s * z)
+            if not abs(ratio) < 1.0:
+                break
+            term *= ratio
+            total += term
+            slope += s * term
+            if abs(term) <= _RTOL * total:
+                break
+        log_z = math.log(z)
+        omitted = (math.lgamma(a) + (math.lgamma(1.0 + a - b) if a > b else 0.0)
+                   - z + (b - 2.0 * a) * log_z)
+        if abs(term) <= _RTOL * total and omitted < math.log(_RTOL):
+            zl = a - b - slope / total
+            return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z + math.log(total),
+                    zl, kummer_module._curvature(a, b, z, zl)), "expansion"
+    term = total = 1.0
+    slope = 0.0
+    for s in range(_CAP):
+        n = s + 1.0
+        term *= (a + s) / ((b + s) * n) * z
+        total += term
+        slope += n * term
+        if not total < 2.0**500:
+            break
+        if term <= _RTOL * total and (term == 0.0 or (
+                z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
+                else z <= 0.5 * (n + 1.0))):
+            zl = slope / total - z
+            return (math.log(total) - z, zl, kummer_module._curvature(a, b, z, zl)), "series"
+    m, zm, e = _int_counter_m_series(a, b, z)
+    zl = zm / m - z
+    return (math.log(m) + e * math.log(2.0) - z, zl,
+            kummer_module._curvature(a, b, z, zl)), "rescaled"
+
+
+def _int_counter_m_series(a, b, z):
+    term = 1.0
+    total = 1.0
+    slope = 0.0
+    exponent = 0
+    least = 0.51 * _CAP
+    hopeless = z >= least and a > 0.0 and b > 0.0 and z * min(1.0, a / b) >= least
+    for s in range(0 if hopeless else _CAP):
+        n = s + 1.0
+        term *= (a + s) / ((b + s) * n) * z
+        total += term
+        slope += n * term
+        if not -2.0**500 < total < 2.0**500:
+            total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
+            exponent += 500
+        if ((term <= _RTOL * total or total < 0.0)
+                and abs(term) <= _RTOL * abs(total)
+                and (term == 0.0 or (a + n > 0.0 and b + n > 0.0 and (
+                    z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
+                    else z <= 0.5 * (n + 1.0))))):
+            return total, slope, exponent
+    raise NonConvergenceError
+
+
+def test_float_counters_match_the_int_counter_loops_in_the_log_form():
+    # Every other z is drawn from [1, 1e4] alone, so that enough draws take
+    # the expansion or pass 2**500.
+    r = random.Random(29)
+    branches = []
+    for i in range(2000):
+        a = _log_uniform(r, 1e-12, 1e5)
+        b = r.choice((0.5, 1.5, r.uniform(0.1, 5.0)))
+        z = _log_uniform(r, 1e-300 if i % 2 else 1.0, 1e4)
+        ref, branch = _int_counter_log_kummer_m_scaled(a, b, z)
+        assert log_kummer_m_scaled(a, b, z) == ref, (a, b, z)
+        branches.append(branch)
+    assert branches.count("expansion") >= 100
+    assert branches.count("rescaled") >= 10
+
+
+def test_float_counter_matches_the_int_counter_loop_in_the_series():
+    # Negative a at positive z gives alternating runs before a + n > 0.
+    r = random.Random(30)
+    alternating = 0
+    for _ in range(2000):
+        a, b, z = r.uniform(-10.0, 30.0), r.uniform(0.1, 10.0), r.uniform(0.0, 340.0)
+        assert kummer_module._m_series(a, b, z) == _int_counter_m_series(a, b, z), (a, b, z)
+        alternating += a < -1.0 and z > 0.0
+    assert alternating >= 100
 
 
 def test_derivative_of_constant_is_zero():
@@ -490,17 +594,23 @@ def test_term_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6),
-                                   (2000.0, 1.5, 1e6), (2000.5, 0.5, 6e5), (1e5, 1.5, 2e6)])
+                                   (2000.0, 1.5, 1e6), (2000.5, 0.5, 6e5), (1e5, 1.5, 2e6),
+                                   (1.0, 1.0, 5e5), (1.0, 1.0, 1e300)])
 def test_series_that_cannot_settle_raises_at_once(a, b, z):
-    # Every term ratio before the cap is above 1/2 here: summing up to the
-    # cap took 0.29 s at z = 1e7 before raising the same error.  The log
-    # form sums M(1, b, z) by its expansion; where a**2 > z it sums the
-    # series, and its positive loop hands the sum to _m_series at 2**500.
-    for fn in (kummer_m, log_kummer_m_scaled) if a * a > z else (kummer_m,):
+    # M overflows in every row.  kummer_m returns inf from the log of its
+    # largest term, where it summed for 0.3 s at z = 5e5 and raised at the
+    # other rows, whose term ratios are all above 1/2 before the cap.  The
+    # log form sums M(1, b, z) by its expansion; where a**2 > z it sums the
+    # series, and its positive loop hands the sum to _m_series at 2**500,
+    # which raises at once.
+    start = time.perf_counter()
+    assert kummer_m(a, b, z) == math.inf
+    assert time.perf_counter() - start < 0.05
+    if a * a > z:
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError, match="did not settle"):
-            fn(a, b, z)
-        assert time.perf_counter() - start < 0.05, fn
+            log_kummer_m_scaled(a, b, z)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_series_ended_by_a_vanished_term_still_sums():

@@ -9,7 +9,9 @@ integrals i^n erfc used by the integer-exponent closed forms.
 
 The series loops count their terms in a float rather than in range's int:
 CPython specializes float-float arithmetic only, and a float holds every
-count exactly, so the sums are the same to the bit and run faster.
+count exactly, so the sums are the same to the bit and run faster.  Each
+series is summed once: a running sum past 2**500 is rescaled in place, and
+overflow is read off that sum, not predicted before it.
 
 All functions here take floats and are pure functions of their
 arguments with no shared mutable state; they are safe to call from any
@@ -42,9 +44,10 @@ _SERIES_TERM_CAP = 1_000_000
 # Most negative argument accepted by kummer_m: beyond this the reflected
 # series exceeds the double-precision dynamic range.
 _MIN_ARGUMENT = -200.0
-# kummer_m is inf where the log of one term of its series passes this:
-# log(2**1024) plus 1 of room for rounding.
-_LOG_OVERFLOW = 1024.0 * math.log(2.0) + 1.0
+_LOG_2 = math.log(2.0)
+# A sum of positive terms past 2**_MAX_EXPONENT is M = inf: no reflection
+# factor e^z with z >= _MIN_ARGUMENT brings it back below 2**1024.
+_MAX_EXPONENT = 1024.0 - _MIN_ARGUMENT / _LOG_2
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,10 +74,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     for negative a at z <= 0; for negative a at positive z the series
     alternates and accuracy degrades (a few 1e-12 at a = -10, z = 9).
     Arguments below -200 raise ValueError, and past double range (near
-    z = 700 for moderate a) the value is inf: for a, b, z > 0 it is
-    returned before summing where the log of the largest term, from lgamma,
-    shows it.  Takes floats only: an array z of more than one element
-    raises TypeError.
+    z = 710 for moderate a and b) the value is inf, returned as soon as a
+    series of positive terms shows it: see ``_m_series``.  Takes floats
+    only: an array z of more than one element raises TypeError.
     """
     _check_args(a, b, z)
     if z < _MIN_ARGUMENT:
@@ -82,31 +84,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     if z < 0.0:
         m, _, e = _m_series(b - a, b, -z)
         m *= math.exp(z)
-    elif a > 0.0 and b > 0.0 and z > 0.0 and _log_peak_term(a, b, z) > _LOG_OVERFLOW:
-        return math.inf
     else:
         m, _, e = _m_series(a, b, z)
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
-
-
-def _log_peak_term(a: float, b: float, z: float) -> float:
-    """A lower bound on log M(a, b, z) for a, b, z > 0, where every term of
-    the series is positive and below M: the log of term n, the first past
-    the larger root of (a+n) z = (b+n)(n+1), less a bound on its rounding.
-    The terms rise while their ratio (a+n) z / ((b+n)(n+1)) is above 1, so
-    where that root is real and positive term n is the largest; where it is
-    not, the bound is 0, the log of term 0, and where it passes double
-    range, n = ceil(z).  The log is lgamma(a+n) - lgamma(a) + lgamma(b)
-    - lgamma(b+n) - lgamma(n+1) + n log z, whose rounding is large only
-    where these parts pass about 1e14 and cancel."""
-    h = 0.5 * (z - b - 1.0)
-    root = h + math.sqrt(max(0.0, h * h + a * z - b))
-    if not root > 0.0:
-        return 0.0
-    n = math.ceil(root if root < math.inf else z)
-    parts = (math.lgamma(a + n), -math.lgamma(a), math.lgamma(b), -math.lgamma(b + n),
-             -math.lgamma(n + 1.0), n * math.log(z))
-    return sum(parts) - 1e-14 * sum(map(abs, parts))
 
 
 def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, float]:
@@ -123,16 +103,21 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
     is summed while its terms fall, and taken where the last of them and a
     bound on the exponentially small part it omits are below 1e-16 of S.
     Elsewhere the series of M, whose terms are all positive, is summed with
-    the steps and the stop of ``_m_series`` and z subtracted; a sum that
-    reaches 2**500 ends that loop at once, and ``_m_series`` sums the series
-    again with its running rescale.  L is good to about 1e-16 of
-    max(1, |L|) above z = 30 and of max(1, z) below, and z L' + z = z M'/M
-    to about 1e-14 relative.  d(z L')/dy sums no more terms: see
-    ``_curvature``.
+    the steps, the stop and the rescale by 2**-500 of ``_m_series``, and z
+    subtracted.  L is good to about 1e-16 of max(1, |L|) above z = 30 and
+    of max(1, z) below, and z L' + z = z M'/M to about 1e-14 relative.
+    d(z L')/dy sums no more terms: see ``_curvature``.
+
+    A sum still inf after its rescale holds a term past double range, and
+    OverflowError names the series at once.  Every ratio before the cap is
+    at least z min(1, a/b) / cap; where that is clearly above 1/2, no term
+    can round to 0 and no tail bound can hold before the cap, so the loop
+    is skipped and NonConvergenceError says the series did not settle.
     """
     if not (a > 0.0 and b > 0.0 and 0.0 <= z < math.inf):
         raise ValueError(
             f"log_kummer_m_scaled needs a, b > 0 and finite z >= 0, got {(a, b, z)}")
+    terms = _SERIES_TERM_CAP
     if z > 30.0:
         term, total, slope, s = 1.0, 1.0, 0.0, 0.0
         for _ in range(1, _SERIES_TERM_CAP):
@@ -155,24 +140,30 @@ def log_kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float, flo
             zl = a - b - slope / total
             return (math.lgamma(b) - math.lgamma(a) + (a - b) * log_z + math.log(total),
                     zl, _curvature(a, b, z, zl))
+        least = 0.51 * terms  # ratio 1/2, with room for rounding
+        if z >= least and z * min(1.0, a / b) >= least:
+            terms = 0
     term = total = 1.0
-    slope = s = 0.0
-    for _ in range(_SERIES_TERM_CAP):
+    slope = s = exponent = 0.0
+    for _ in range(terms):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
         s = n
         total += term
         slope += n * term
         if not total < 2.0**500:
-            break
+            total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
+            exponent += 500.0
+            if total == math.inf:
+                raise OverflowError(
+                    f"term {n:.0f} of the series for M({a}, {b}, {z}) leaves double range")
         if term <= _SERIES_RTOL * total and (term == 0.0 or (
                 z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
                 else z <= 0.5 * (n + 1.0))):
             zl = slope / total - z
-            return math.log(total) - z, zl, _curvature(a, b, z, zl)
-    m, zm, e = _m_series(a, b, z)
-    zl = zm / m - z
-    return math.log(m) + e * math.log(2.0) - z, zl, _curvature(a, b, z, zl)
+            return math.log(total) + exponent * _LOG_2 - z, zl, _curvature(a, b, z, zl)
+    raise NonConvergenceError(
+        f"series for M({a}, {b}, {z}) did not settle within {_SERIES_TERM_CAP} terms")
 
 
 def _curvature(a: float, b: float, z: float, zl: float) -> float:
@@ -199,18 +190,16 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
     2**500 together with the term and zm, and e counts those shifts, so no
     partial sum overflows; below that e = 0 and m is the plain sum.
 
-    For a, b > 0 every ratio before the cap is at least z min(1, a/b) / cap.
-    Where that is clearly above 1/2, no term can round to 0 and no tail
-    bound can hold before the cap, so the loop is skipped and it raises.
+    For a, b > 0 every term is positive, so after a rescale the sum is past
+    2**e for good; once e passes _MAX_EXPONENT, M and every M e^z that
+    ``kummer_m`` forms from it are inf, and (inf, inf, e) is returned.
     """
     term = 1.0
     total = 1.0
     slope = 0.0
     exponent = 0
-    least = 0.51 * _SERIES_TERM_CAP  # ratio 1/2, with room for rounding
-    hopeless = z >= least and a > 0.0 and b > 0.0 and z * min(1.0, a / b) >= least
     s = 0.0
-    for _ in range(0 if hopeless else _SERIES_TERM_CAP):
+    for _ in range(_SERIES_TERM_CAP):
         n = s + 1.0
         term *= (a + s) / ((b + s) * n) * z
         s = n
@@ -219,6 +208,8 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
         if not -2.0**500 < total < 2.0**500:
             total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
             exponent += 500
+            if exponent > _MAX_EXPONENT and a > 0.0 and b > 0.0:
+                return math.inf, math.inf, exponent
         # Where the sum is positive the first test decides the size test
         # alone, and the abs calls run only once it passes.
         if ((term <= _SERIES_RTOL * total or total < 0.0)
@@ -243,8 +234,9 @@ def kummer_m_derivative(a: float, b: float, z: float) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma function for finite x > 0 (``math.gamma``).
 
-    The call sites in this package use positive integers and
-    half-integers; other arguments raise ValueError.
+    Every finite x > 0 is accepted, and other arguments raise ValueError.
+    From about x = 171.6, where Gamma passes double range, ``math.gamma``
+    raises OverflowError.
     """
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"gamma_fn requires x > 0, got {x}")

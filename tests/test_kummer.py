@@ -106,7 +106,7 @@ def test_log_form_against_arbitrary_precision():
             z = math.exp(r.uniform(math.log(1e-6), math.log(1e5)))
             above += z > 30.0
             scaled, zm, curvature = log_kummer_m_scaled(a, b, z)
-            summed += z > 30.0 and (scaled, zm, curvature) == _series_branch(a, b, z)
+            summed += z > 30.0 and (scaled, zm, curvature) == _series_branch(a, b, z)[0]
             m = mp.hyp1f1(a, b, z)
             ref_log = float(mp.log(m))
             ref_scaled = float(mp.log(m) - z)
@@ -121,10 +121,11 @@ def test_log_form_against_arbitrary_precision():
 
 
 def _series_branch(a, b, z):
-    """(L, z L', d(z L')/dy) of log_kummer_m_scaled summed by _m_series alone."""
-    m, zm, e = kummer_module._m_series(a, b, z)
+    """(L, z L', d(z L')/dy) of log_kummer_m_scaled summed by the rescaled
+    series alone, and that series' count e of shifts by 2**500."""
+    m, zm, e = _int_counter_m_series(a, b, z)
     zl = zm / m - z
-    return math.log(m) + e * math.log(2.0) - z, zl, kummer_module._curvature(a, b, z, zl)
+    return (math.log(m) + e * math.log(2.0) - z, zl, kummer_module._curvature(a, b, z, zl)), e
 
 
 def _log_uniform(r, lo, hi):
@@ -237,14 +238,25 @@ def test_rescaled_series_past_2_to_500():
     with mp.workdps(40):
         ref = float(mp.log(mp.hyp1f1(1.2, 1.5, 800)))
     assert log_kummer_m_scaled(1.2, 1.5, 800.0)[0] + 800.0 == pytest.approx(ref, rel=1e-15)
+    # A sum of positive terms is inf only past 2**(1024 + 200 / log 2),
+    # beyond the reach of the reflection factor e^-200: the reflected series
+    # of M(-799.5, 0.5, -200) sums to about 2**1309 and M is finite (mpmath:
+    # 1.7010485911091803e307, 1.2291799853917337e308 at a = -803.5, and
+    # 3.298e308 at a = -805.5).
+    assert kummer_m(-799.5, 0.5, -200.0) == pytest.approx(1.7010485911091803e307, rel=1e-13)
+    assert kummer_m(-803.5, 0.5, -200.0) == pytest.approx(1.2291799853917337e308, rel=1e-13)
+    assert kummer_m(-805.5, 0.5, -200.0) == math.inf
+    assert math.isfinite(kummer_m(1.0, 1.0, 709.7))
+    assert kummer_m(1.0, 1.0, 709.9) == math.inf
 
 
 def test_positive_loop_matches_the_rescaled_series(monkeypatch):
-    # The loop over positive terms gives exactly what _m_series gives, for
-    # both series of the front equation at log-uniform z in [1e-300, 30] and
-    # a in (0, 30], then at sums past 2**500 (large a), which it hands to
-    # _m_series, and above z = 30 where a**2 > z skips the expansion: its
-    # first ratio (1 - a)(b - a) / z is then above 1.
+    # The loop over positive terms gives exactly what the rescaled series
+    # gives, for both series of the front equation at log-uniform z in
+    # [1e-300, 30] and a in (0, 30], then at sums past 2**500 (large a),
+    # which it rescales in place, and above z = 30 where a**2 > z skips the
+    # expansion: its first ratio (1 - a)(b - a) / z is then above 1.  The
+    # log form never calls _m_series.
     r = random.Random(12)
     cases = [(_log_uniform(r, 1e-12, 30.0), _log_uniform(r, 1e-300, 30.0)) for _ in range(400)]
     cases += [(a, z) for a in (1e3, 2e4, 1e5) for z in (1.0, 12.0, 30.0)]
@@ -254,18 +266,16 @@ def test_positive_loop_matches_the_rescaled_series(monkeypatch):
     # (a, b, z) of the odd and the even series.
     cases = [(a + shift, b, z) for a, z in cases for b, shift in ((1.5, 1.0), (0.5, 0.5))]
     refs = [_series_branch(*case) for case in cases]
-    fallbacks = []
-    real = kummer_module._m_series
 
-    def counting(a, b, z):
-        fallbacks.append(z)
-        return real(a, b, z)
+    def unused(a, b, z):
+        raise AssertionError(f"_m_series called for {(a, b, z)}")
 
-    monkeypatch.setattr(kummer_module, "_m_series", counting)
-    for case, ref in zip(cases, refs):
+    monkeypatch.setattr(kummer_module, "_m_series", unused)
+    for case, (ref, _) in zip(cases, refs):
         assert log_kummer_m_scaled(*case) == ref, case
-    assert len(fallbacks) >= 10
-    assert any(z <= 30.0 for z in fallbacks)
+    rescaled = [z for (_, _, z), (_, e) in zip(cases, refs) if e > 0]
+    assert len(rescaled) >= 10
+    assert any(z <= 30.0 for z in rescaled)
 
 
 # The series loops as they were written with range's int counter, kept as the
@@ -595,20 +605,23 @@ def test_term_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6),
                                    (2000.0, 1.5, 1e6), (2000.5, 0.5, 6e5), (1e5, 1.5, 2e6),
-                                   (1.0, 1.0, 5e5), (1.0, 1.0, 1e300)])
+                                   (1.0, 1.0, 5e5), (1.0, 1.0, 1e300),
+                                   (1e300, 1.0, 10.0), (1e200, 1e-100, 1.0)])
 def test_series_that_cannot_settle_raises_at_once(a, b, z):
-    # M overflows in every row.  kummer_m returns inf from the log of its
-    # largest term, where it summed for 0.3 s at z = 5e5 and raised at the
-    # other rows, whose term ratios are all above 1/2 before the cap.  The
-    # log form sums M(1, b, z) by its expansion; where a**2 > z it sums the
-    # series, and its positive loop hands the sum to _m_series at 2**500,
-    # which raises at once.
+    # M overflows in every row, and kummer_m returns inf once its sum passes
+    # the reach of any reflection factor, long before the cap.  The log form
+    # sums M(1, b, z) by its expansion; where a**2 > z it sums the series,
+    # which at z >= 5e5 has every term ratio above 1/2 before the cap and
+    # cannot settle, and in the last two rows has a second term past double
+    # range.
     start = time.perf_counter()
     assert kummer_m(a, b, z) == math.inf
     assert time.perf_counter() - start < 0.05
     if a * a > z:
+        error, match = ((NonConvergenceError, "did not settle") if z >= 5e5
+                        else (OverflowError, "leaves double range"))
         start = time.perf_counter()
-        with pytest.raises(NonConvergenceError, match="did not settle"):
+        with pytest.raises(error, match=match):
             log_kummer_m_scaled(a, b, z)
         assert time.perf_counter() - start < 0.05
 

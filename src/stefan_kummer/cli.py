@@ -160,6 +160,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(top: float, first: int, n: int) -> list[float]:
+    """top * i / n for i = first, ..., n; top * (i / n), which is at most
+    top, where the product top * i leaves double range."""
+    return [top * i / n if top * i < math.inf else top * (i / n) for i in range(first, n + 1)]
+
+
 def _cmd_field(args: argparse.Namespace) -> int:
     import numpy as np
     sol = solve_front(_resolve_problem(args))
@@ -168,8 +174,8 @@ def _cmd_field(args: argparse.Namespace) -> int:
     if nx < 2 or nt < 1:
         raise UsageError("field needs --nx >= 2, --nt >= 1")
     xmax = _flag_or_default("--xmax", args.xmax, 1.2 * sol.front_position(tmax), "1.2 s(tmax)")
-    xs = [xmax * j / (nx - 1) for j in range(nx)]
-    ts = [tmax * i / nt for i in range(1, nt + 1)]
+    xs = _grid(xmax, 0, nx - 1)
+    ts = _grid(tmax, 1, nt)
     x, t = np.array(xs), np.array(ts)
     s_of_t = sol.front_position(t)
     # x ascends, so the melted points x < s(t) of a time row are a prefix

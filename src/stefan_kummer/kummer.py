@@ -74,18 +74,19 @@ def kummer_m(a: float, b: float, z: float) -> float:
     for negative a at z <= 0; for negative a at positive z the series
     alternates and accuracy degrades (a few 1e-12 at a = -10, z = 9).
     Arguments below -200 raise ValueError, and past double range (near
-    z = 710 for moderate a and b) the value is inf, returned as soon as a
-    series of positive terms shows it: see ``_m_series``.  Takes floats
-    only: an array z of more than one element raises TypeError.
+    z = 710 for moderate a and b) the value is +-inf, returned as soon as
+    a sum with the sign of its one-signed tail shows it: see
+    ``_m_series``.  Takes floats only: an array z of more than one element
+    raises TypeError.
     """
     _check_args(a, b, z)
     if z < _MIN_ARGUMENT:
         raise ValueError(f"argument z={z} below supported range ({_MIN_ARGUMENT})")
     if z < 0.0:
-        m, _, e = _m_series(b - a, b, -z)
+        m, e = _m_series(b - a, b, -z)
         m *= math.exp(z)
     else:
-        m, _, e = _m_series(a, b, z)
+        m, e = _m_series(a, b, z)
     return math.ldexp(m, e) if math.frexp(m)[1] + e <= 1024 else math.copysign(math.inf, m)
 
 
@@ -177,26 +178,25 @@ def _curvature(a: float, b: float, z: float, zl: float) -> float:
     return 2.0 * (z * (a - b - zl) + (1.0 - b) * zl - zl * zl)
 
 
-def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
-    """(m, zm, e) with M(a, b, z) = m 2**e and z M'(a, b, z) = zm 2**e,
-    summed from term_n = term_{n-1} * (a+n-1) / ((b+n-1) n) * z, and zm from
-    n term_n, for z >= 0.  The sum stops at the first term_n that is within
-    1e-16 of the sum and bounds the tail after it: every later term has
-    its sign, because a + n > 0 and b + n > 0 or term_n is 0 (integer
-    a <= 0 ends the series), and every later ratio is at most 1/2, because
-    it is at most z (a+n) / ((b+n)(n+1)) for a >= b and z / (n+1) for
-    a < b.  A small term before the peak (tiny a) or in an alternating run
-    (negative a) does not end the sum.  A sum past 2**500 is divided by
-    2**500 together with the term and zm, and e counts those shifts, so no
-    partial sum overflows; below that e = 0 and m is the plain sum.
+def _m_series(a: float, b: float, z: float) -> tuple[float, int]:
+    """(m, e) with M(a, b, z) = m 2**e, summed from term_n = term_{n-1} *
+    (a+n-1) / ((b+n-1) n) * z for z >= 0.  The sum stops at the first
+    term_n that is within 1e-16 of the sum and bounds the tail after it:
+    every later term has its sign, because a + n > 0 and b + n > 0 or
+    term_n is 0 (integer a <= 0 ends the series), and every later ratio is
+    at most 1/2, because it is at most z (a+n) / ((b+n)(n+1)) for a >= b
+    and z / (n+1) for a < b.  A small term before the peak (tiny a) or in
+    an alternating run (negative a) does not end the sum.  A sum past
+    2**500 is divided by 2**500 together with the term, and e counts those
+    shifts, so no partial sum overflows; below that e = 0 and m is the
+    plain sum.
 
-    For a, b > 0 every term is positive, so after a rescale the sum is past
-    2**e for good; once e passes _MAX_EXPONENT, M and every M e^z that
-    ``kummer_m`` forms from it are inf, and (inf, inf, e) is returned.
+    Where a + n > 0 and b + n > 0 the tail is one-signed, so a sum with
+    the sign of its term is past 2**e for good; once e passes
+    _MAX_EXPONENT, M and every M e^z that ``kummer_m`` forms from it are
+    infinite, and (m, e) is returned at once.
     """
-    term = 1.0
-    total = 1.0
-    slope = 0.0
+    term = total = 1.0
     exponent = 0
     s = 0.0
     for _ in range(_SERIES_TERM_CAP):
@@ -204,20 +204,16 @@ def _m_series(a: float, b: float, z: float) -> tuple[float, float, int]:
         term *= (a + s) / ((b + s) * n) * z
         s = n
         total += term
-        slope += n * term
         if not -2.0**500 < total < 2.0**500:
-            total, term, slope = total * 2.0**-500, term * 2.0**-500, slope * 2.0**-500
+            total, term = total * 2.0**-500, term * 2.0**-500
             exponent += 500
-            if exponent > _MAX_EXPONENT and a > 0.0 and b > 0.0:
-                return math.inf, math.inf, exponent
-        # Where the sum is positive the first test decides the size test
-        # alone, and the abs calls run only once it passes.
-        if ((term <= _SERIES_RTOL * total or total < 0.0)
-                and abs(term) <= _SERIES_RTOL * abs(total)
-                and (term == 0.0 or (a + n > 0.0 and b + n > 0.0 and (
+            if exponent > _MAX_EXPONENT and term * total > 0.0 and a + n > 0.0 and b + n > 0.0:
+                return total, exponent
+        if abs(term) <= _SERIES_RTOL * abs(total) and (term == 0.0 or (
+                a + n > 0.0 and b + n > 0.0 and (
                     z * (a + n) <= 0.5 * (b + n) * (n + 1.0) if a >= b
-                    else z <= 0.5 * (n + 1.0))))):
-            return total, slope, exponent
+                    else z <= 0.5 * (n + 1.0)))):
+            return total, exponent
     raise NonConvergenceError(
         f"series for M({a}, {b}, {z}) did not settle within {_SERIES_TERM_CAP} terms"
     )

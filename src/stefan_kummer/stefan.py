@@ -74,7 +74,6 @@ from functools import cached_property
 from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
 
 __all__ = [
-    "BracketNotFoundError",
     "Convective",
     "Temperature",
     "Flux",
@@ -105,10 +104,6 @@ _PROFILE_ORDER = 30
 # The field is continued past the front up to eta = max(nu, _MAX_ETA): the
 # walk there takes a number of steps growing like eta**2.
 _MAX_ETA = 30.0
-
-
-class BracketNotFoundError(RuntimeError):
-    """The root nu of the front equation underflows double precision."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -240,9 +235,10 @@ def _front_g(problem: ProblemSpec):
     double range is inf.
 
     The model takes L = max(0, lgamma(b) - lgamma(a) + (a-b) log z), the
-    leading term of DLMF 13.7.2, where a > b, and L = 0 elsewhere: for
-    a >= b, M >= e^z and L >= 0.  Its log D~ is a log-sum of convex
-    functions of y, so the model is concave, and Newton's method from
+    leading term of DLMF 13.7.2, where a > b, and L = 0 elsewhere and
+    where lgamma(a) overflows: for a >= b, M >= e^z and L >= 0.  Its
+    log D~ is a log-sum of convex functions of y, so the model is concave,
+    and Newton's method from
     log z = log(max(1, log(C g) - max(log p, log(|q| kappa)))), right of
     its root (there z alone exceeds log(C g) - log D~ - (alpha+1) y),
     descends to the root monotonically.
@@ -283,9 +279,13 @@ def _front_g(problem: ProblemSpec):
         return (value, slopes, rounding,
                 _times_exp(g, log_g, y + logs[0] - log_d), -_times_exp(g, log_g, logs[3] - log_d))
 
-    # (lgamma(b) - lgamma(a), a - b) of the odd and the even series.
-    leading_o = (math.lgamma(1.5) - math.lgamma(a + 1.0), a - 0.5)
-    leading_e = (math.lgamma(0.5) - math.lgamma(a + 0.5), a)
+    # (lgamma(b) - lgamma(a), a - b) of the odd and the even series, or
+    # _UNSUMMED's zeros past a = 2.56e305, where lgamma(a) overflows.
+    try:
+        leading_o = (math.lgamma(1.5) - math.lgamma(a + 1.0), a - 0.5)
+        leading_e = (math.lgamma(0.5) - math.lgamma(a + 0.5), a)
+    except OverflowError:
+        leading_o = leading_e = (0.0, 0.0)
 
     def model(leading, y):
         """(L, z L', d(z L')/dy) of the model of one series at log z = 2 y."""
@@ -539,7 +539,7 @@ def solve_front(problem: ProblemSpec) -> SimilaritySolution:
                                   f"{_MAX_ITERATIONS} iterations (last log residual {g})")
     nu = math.exp(y)
     if nu < sys.float_info.min:
-        raise BracketNotFoundError(f"the front coefficient exp({y}) underflows double precision")
+        raise OverflowError(f"the front coefficient exp({y}) underflows double precision")
     if math.isinf(coeff_odd) or math.isinf(coeff_even):
         raise OverflowError(
             f"the series coefficients A = {coeff_even}, B = {coeff_odd} overflow "

@@ -123,6 +123,17 @@ def test_solve_coefficient_beyond_double_range_exits_3(capsys, d):
     assert "overflow" in record["detail"]
 
 
+@pytest.mark.parametrize("alpha", ["6e305", "1e306", "1.7e308"])
+@pytest.mark.parametrize("face", [["--t0", "1"], ["--c", "1"], ["--h0", "1", "--tinf", "1"]],
+                         ids=["temperature", "flux", "convective"])
+def test_solve_at_huge_alpha_names_the_series(capsys, alpha, face):
+    # lgamma(alpha / 2) overflows in the start model from alpha 5.12e305:
+    # the detail was a bare "math range error".
+    assert run(["solve", "--alpha", alpha, *face]) == 3
+    assert re.fullmatch(r"term 2 of the series for M\(.*\) leaves double range",
+                        numerical_failure(capsys))
+
+
 def test_solve_missing_boundary_datum_exits_2(capsys):
     assert run(["solve", "--alpha", "0.4"]) == 2
     record = json.loads(capsys.readouterr().err)
@@ -441,6 +452,19 @@ def test_field_matches_pointwise_reference(tmp_path, args, problem):
     for (x, t, psi, s_t, flag), (x_ref, t_ref, psi_ref, s_ref, flag_ref) in zip(rows, expected):
         assert (x, t, s_t, flag) == (x_ref, t_ref, s_ref, flag_ref)
         assert abs(float(psi) - psi_ref) <= 1e-12 * scale
+
+
+def test_field_grid_near_top_of_double_range(tmp_path):
+    # t_i = tmax i / nt and x_j = xmax j / (nx - 1) overflowed in the
+    # product: the first exited 2 on t = inf, the second wrote x = inf.
+    for flags, column, top in ((["--tmax", "1e308", "--nt", "2"], 1, 1e308),
+                               (["--xmax", "1e308", "--nt", "1"], 0, 1e308)):
+        out = tmp_path / "field.csv"
+        assert run(["field", "--t0", "1", "--nx", "3", *flags, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        values = sorted({float(row[column]) for row in rows})
+        assert values[-1] == top and all(0.0 <= v <= top for v in values), values
+        assert values[-2] == top / 2.0
 
 
 @pytest.mark.parametrize("args,flag", [

@@ -371,7 +371,8 @@ def test_float_counter_matches_the_int_counter_loop_in_the_series():
     alternating = 0
     for _ in range(2000):
         a, b, z = r.uniform(-10.0, 30.0), r.uniform(0.1, 10.0), r.uniform(0.0, 340.0)
-        assert kummer_module._m_series(a, b, z) == _int_counter_m_series(a, b, z), (a, b, z)
+        m, _, e = _int_counter_m_series(a, b, z)
+        assert kummer_module._m_series(a, b, z) == (m, e), (a, b, z)
         alternating += a < -1.0 and z > 0.0
     assert alternating >= 100
 
@@ -603,21 +604,31 @@ def test_term_cap_raises(monkeypatch):
         kummer_m(-0.2, 0.5, -30.0)
 
 
+# One-signed negative tails, from term 1 or after an alternating head
+# (mpmath: -5.9e4342933, -1.1e434304, -1.8e86843, -1.9e217088), and two
+# whose alternating heads sum past the bound with the other sign, for
+# a + n < 0 and for b + n < 0 (-2.0e434, -9.2e1605).
+_NEGATIVE_TAILS = [(-0.5, 1.0, 1e7), (1.0, -0.5, 1e6), (-2.5, 0.5, 2e5), (-10.5, 1.0, 5e5),
+                   (-1001.5, 0.5, 2000.0), (1.0, -1000.5, 2000.0)]
+
+
 @pytest.mark.parametrize("a,b,z", [(1.0, 1.0, 1e7), (1.0, 1.0, 6e5), (1.0, 2.0, 2e6),
                                    (2000.0, 1.5, 1e6), (2000.5, 0.5, 6e5), (1e5, 1.5, 2e6),
                                    (1.0, 1.0, 5e5), (1.0, 1.0, 1e300),
-                                   (1e300, 1.0, 10.0), (1e200, 1e-100, 1.0)])
+                                   (1e300, 1.0, 10.0), (1e200, 1e-100, 1.0),
+                                   *_NEGATIVE_TAILS])
 def test_series_that_cannot_settle_raises_at_once(a, b, z):
-    # M overflows in every row, and kummer_m returns inf once its sum passes
-    # the reach of any reflection factor, long before the cap.  The log form
-    # sums M(1, b, z) by its expansion; where a**2 > z it sums the series,
-    # which at z >= 5e5 has every term ratio above 1/2 before the cap and
-    # cannot settle, and in the last two rows has a second term past double
-    # range.
+    # M overflows in every row, and kummer_m returns +-inf once a sum with
+    # the sign of its one-signed tail passes the reach of any reflection
+    # factor, long before the cap.  For a > 0 the log form sums M(1, b, z)
+    # by its expansion; where a**2 > z it sums the series, which at
+    # z >= 5e5 has every term ratio above 1/2 before the cap and cannot
+    # settle, and in the last two rows of positive a has a second term past
+    # double range.
     start = time.perf_counter()
-    assert kummer_m(a, b, z) == math.inf
+    assert kummer_m(a, b, z) == (-math.inf if (a, b, z) in _NEGATIVE_TAILS else math.inf)
     assert time.perf_counter() - start < 0.05
-    if a * a > z:
+    if a > 0.0 and a * a > z:
         error, match = ((NonConvergenceError, "did not settle") if z >= 5e5
                         else (OverflowError, "leaves double range"))
         start = time.perf_counter()

@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from itertools import islice, repeat
 
 from .equivalence import EquivalenceReport, _convert, equivalence_report
 from .limits import limit_problem
@@ -178,20 +177,21 @@ def _cmd_field(args: argparse.Namespace) -> int:
     ts = _grid(tmax, 1, nt)
     x, t = np.array(xs), np.array(ts)
     s_of_t = sol.front_position(t)
-    # x ascends, so the melted points x < s(t) of a time row are a prefix
-    # of it; their temperatures come in row order from one evaluation.
     melted = x < s_of_t[:, None]
     rows, cols = np.nonzero(melted)
-    psi_text = map(repr, sol.temperature(x[cols], t[rows]).tolist())
-    x_text = [repr(v) for v in xs]
-    lines: list[str] = []
-    for t_i, s_i, n_melted in zip(ts, s_of_t.tolist(), melted.sum(axis=1).tolist()):
+    psi_text = list(map(repr, sol.temperature(x[cols], t[rows]).tolist()))
+    x_text = [*map(repr, xs), ""]
+    parts, k = ["x,t,psi,s_of_t,melted_flag\n"], 0
+    # x ascends, so a row's n melted points are its first n.  The row's first
+    # join holds their lines, x ",t," psi ",s,1\n" each; its second joins the
+    # solid x with ",t,0.0,s,0\n", which x_text's closing "" puts after the last.
+    for t_i, s_i, n in zip(ts, s_of_t.tolist(), melted.sum(axis=1).tolist()):
         t_text, s_text = f",{t_i!r},", f",{s_i!r},"
-        lines.extend(map("".join, zip(x_text[:n_melted], repeat(t_text),
-                                      islice(psi_text, n_melted), repeat(s_text + "1"))))
-        solid = f"{t_text}0.0{s_text}0"
-        lines.extend(x_j + solid for x_j in x_text[n_melted:])
-    _write_output(_csv_text("x,t,psi,s_of_t,melted_flag", lines), args.out)
+        cells = [t_text] * (4 * n)
+        cells[0::4], cells[2::4], cells[3::4] = x_text[:n], psi_text[k:k + n], [s_text + "1\n"] * n
+        parts += "".join(cells), f"{t_text}0.0{s_text}0\n".join(x_text[n:])
+        k += n
+    _write_output("".join(parts), args.out)
     return 0
 
 

@@ -170,3 +170,25 @@ def mp_field(mp, problem: ProblemSpec, nu, x, t, digits: int = 40):
                         t ** ((alpha - 1) / 2) * f_slope / (2 * mp.sqrt(d)))
         dps *= 2
     raise ArithmeticError(f"the closed form cancels to below {digits} digits at x={x}, t={t}")
+
+
+def mp_weber_field(mp, problem: ProblemSpec, nu, x, t):
+    """u at (x, t) from Weber's equation, at any nu.  Under
+    g = e**(-eta**2/2) w(sqrt(2) eta) the profile equation
+    g'' + 2 eta g' - 2 alpha g = 0 is DLMF 12.2.2 with a = alpha + 1/2, so
+    g = e**(-eta**2/2) [U(a, r eta) U(a, -r nu) - U(a, r nu) U(a, -r eta)],
+    r = sqrt(2), vanishes at nu.  U(a, x) decays and U(a, -x) grows, so the
+    two terms cancel only within about 1/nu of the front, not by e**(nu**2)
+    as the Kummer terms of ``mp_field`` do.  The Wronskian (DLMF 12.2.11)
+    gives g'(nu) = -2 sqrt(pi) e**(-nu**2/2) / Gamma(alpha + 1), and f is g
+    scaled to the Stefan slope f'(nu) = -(gamma / k) sqrt(d) (2 nu sqrt(d))**(alpha+1).
+    The face relation is not used: it holds where nu is the front's root."""
+    alpha, gamma, d, k, _, _ = _mp_data(mp, problem)
+    nu, x, t = mp.mpf(nu), mp.mpf(x), mp.mpf(t)
+    a, r = alpha + mp.mpf(0.5), mp.sqrt(2)
+    eta = x / (2 * mp.sqrt(d * t))
+    g = mp.exp(-eta**2 / 2) * (mp.pcfu(a, r * eta) * mp.pcfu(a, -r * nu)
+                               - mp.pcfu(a, r * nu) * mp.pcfu(a, -r * eta))
+    g_slope = -2 * mp.sqrt(mp.pi) * mp.exp(-nu**2 / 2) / mp.gamma(alpha + 1)
+    f_slope = -gamma / k * mp.sqrt(d) * (2 * nu * mp.sqrt(d)) ** (alpha + 1)
+    return t ** (alpha / 2) * g * f_slope / g_slope

@@ -467,6 +467,37 @@ def test_field_grid_near_top_of_double_range(tmp_path):
         assert values[-2] == top / 2.0
 
 
+@pytest.mark.parametrize("args,problem,melted", [
+    ([*FIG9_ARGS, "--nx", "7", "--nt", "4"], FIELD_FAMILIES[0][1], "some"),
+    ([*FIG9_ARGS, "--xmax", "1e-6", "--nx", "3", "--nt", "2"], FIELD_FAMILIES[0][1], "all"),
+    # nu 7.07e-202, so s(t) underflows to 0.0 at every grid time.
+    (["--alpha", "0", "--t0", "1e-300", "--gamma", "1e300", "--d", "1e-200", "--k", "1e-2",
+      "--tmax", "1e-100", "--xmax", "1", "--nx", "3", "--nt", "2"],
+     ProblemSpec(alpha=0.0, boundary=Temperature(t0=1e-300), gamma=1e300, d=1e-200, k=1e-2),
+     "none"),
+])
+def test_field_file_is_its_lines_byte_for_byte(tmp_path, args, problem, melted):
+    # The command writes each time row with two joins over pieces of lines;
+    # here each line is written out whole, on the arrays the command builds.
+    import numpy as np
+    out = tmp_path / "field.csv"
+    assert run(["field", *args, "--out", str(out)]) == 0
+    o = cli._PARSER.parse_args(["field", *args])
+    sol = solve_front(problem)
+    xmax = 1.2 * sol.front_position(o.tmax) if o.xmax is None else o.xmax
+    x, t = np.array(cli._grid(xmax, 0, o.nx - 1)), np.array(cli._grid(o.tmax, 1, o.nt))
+    s = sol.front_position(t)
+    rows, cols = np.nonzero(x < s[:, None])
+    psi = dict(zip(zip(rows.tolist(), cols.tolist()), sol.temperature(x[cols], t[rows]).tolist()))
+    lines = ["x,t,psi,s_of_t,melted_flag"]
+    for i, (t_i, s_i) in enumerate(zip(t.tolist(), s.tolist())):
+        for j, x_j in enumerate(x.tolist()):
+            lines.append(f"{x_j!r},{t_i!r},{psi.get((i, j), 0.0)!r},{s_i!r},{int((i, j) in psi)}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert {"some": 0 < len(psi) < o.nx * o.nt, "all": len(psi) == o.nx * o.nt,
+            "none": not psi}[melted], len(psi)
+
+
 @pytest.mark.parametrize("args,flag", [
     (["field", "--tmax", "nan"], "--tmax"),
     (["field", "--tmax", "inf"], "--tmax"),

@@ -30,6 +30,7 @@ from _oracles import (
     mp_field,
     mp_front_log_residual,
     mp_front_root,
+    mp_weber_field,
 )
 
 # Parameter set behind the reference temperature-field plots.
@@ -741,6 +742,63 @@ def test_field_against_mpmath_on_wide_sample():
         assert (u > 0.0).all(), (p, nu)
         # zero up to the rounding of eta = s(t) / (2 sqrt(d t)) about nu
         assert abs(at.temperature(at.front_position(t), t)) <= 1e-15 * u[0], (p, nu)
+
+
+def test_weber_reference_matches_the_kummer_reference():
+    # Two closed forms of one field: Weber's from the front and the Stefan
+    # slope, and mp_field's from the face relation.  They agree at the
+    # front equation's root, held here at the working precision.
+    mp = pytest.importorskip("mpmath")
+    sample = [(p, t) for p, t in _wide_sample(40) if solve_front(p).nu <= 5.0]
+    assert len(sample) >= 8
+    for p, t in sample[:8]:
+        sol = solve_front(p)
+        with mp.workdps(60 + int(sol.nu**2 / 2.3)):
+            nu = mp_front_root(mp, p, sol.nu)
+            for x in (sol.front_position(t) * np.array([0.0, 0.3, 0.7, 0.99])).tolist():
+                weber, kummer = mp_weber_field(mp, p, nu, x, t), mp_field(mp, p, nu, x, t)[0]
+                assert abs(weber - kummer) <= mp.mpf(10) ** -35 * abs(kummer), (p, x)
+
+
+# nu 0.36, 36.9, 63.7 and 225.9: past the reach of mp_field's cancelling
+# terms from nu about 5 on.
+WEBER_CASES = [FIG9] + [ProblemSpec(alpha=alpha, boundary=Temperature(t0=1.0), d=1e-300)
+                        for alpha in (2.0, 10.0, 150.0)]
+
+
+def _weber_points(sol, t):
+    """19 melt points at the time t, up to eta = 24 at large nu: f falls
+    like e**(-eta**2), and past eta about 26 it leaves the normal floats."""
+    return sol.front_position(t) * min(1.0, 24.0 / sol.nu) * np.arange(1, 20) / 20
+
+
+@pytest.mark.parametrize("problem", WEBER_CASES)
+def test_field_against_weber_reference_up_to_large_nu(problem):
+    mp = pytest.importorskip("mpmath")
+    sol = solve_front(problem)
+    xs = _weber_points(sol, 1.0)
+    u = sol.temperature(xs, 1.0)
+    with mp.workdps(40):
+        ref = [float(mp_weber_field(mp, problem, sol.nu, x, 1.0)) for x in xs.tolist()]
+    normal = [(v, r) for v, r in zip(u.tolist(), ref) if abs(r) >= sys.float_info.min]
+    assert len(normal) >= 17, sol.nu
+    for v, r in normal:
+        assert abs(v - r) <= 1e-12 * abs(r), (sol.nu, v, r)
+
+
+@pytest.mark.xfail(strict=True, reason="f(eta) underflows before t**(alpha/2) scales it up")
+def test_field_is_normal_where_only_the_profile_underflows():
+    # At t = 2 and alpha 150, u = 2**75 f: the last point's u is 4.9e-304,
+    # a normal float, but its f is 1.3e-326, below the subnormals, so
+    # temperature returns 0.
+    mp = pytest.importorskip("mpmath")
+    problem = WEBER_CASES[-1]
+    sol = solve_front(problem)
+    x = _weber_points(sol, 2.0)[-1]
+    with mp.workdps(40):
+        ref = float(mp_weber_field(mp, problem, sol.nu, x, 2.0))
+    assert ref >= sys.float_info.min
+    assert abs(sol.temperature(x, 2.0) - ref) <= 1e-12 * ref
 
 
 def test_profile_face_values_are_the_series_coefficients():

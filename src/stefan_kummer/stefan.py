@@ -470,10 +470,14 @@ class SimilaritySolution:
         with np.errstate(over="ignore", invalid="ignore"):
             if derivative:
                 coeffs = coeffs[1:] * np.arange(1.0, _PROFILE_ORDER + 1.0)[:, None] / step
-            coeffs = coeffs[:, j]
+            # take gathers a fresh C-ordered array (coeffs[:, j] would be
+            # F-ordered), so each order's row is contiguous and the last one
+            # may be summed into.
+            coeffs = coeffs.take(j, axis=1)
             total = coeffs[-1]
             for c in coeffs[-2::-1]:
-                total = total * s + c
+                total *= s
+                total += c
             power = np.power(ts, (self.problem.alpha - derivative) / 2.0)
             value = (power / (2.0 * math.sqrt(self.problem.d)) if derivative else power) * total
         finite = np.isfinite(value)

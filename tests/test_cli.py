@@ -895,6 +895,47 @@ def test_stdout_output(capsys):
     assert math.isfinite(payload["nu"])
 
 
+# ---- --out files ----
+
+
+def test_out_over_a_longer_file_is_the_stdout_bytes(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["field", *FIG9_ARGS, "--nx", "20", "--nt", "20", "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    assert run(["solve", *FIG9_ARGS, "--out", str(out)]) == 0
+    assert run(["solve", *FIG9_ARGS]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) < longer
+    assert out.read_bytes() == expected
+
+
+def test_out_to_devnull_exits_0():
+    # /dev/null is not cut to length: ftruncate fails on it.
+    assert run(["field", *FIG9_ARGS, "--nx", "3", "--nt", "2", "--out", os.devnull]) == 0
+
+
+def test_new_out_file_has_the_mode_open_gives(tmp_path):
+    old = os.umask(0o002)
+    try:
+        open(tmp_path / "reference", "w").close()
+        assert run(["solve", *FIG9_ARGS, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_out_opens_without_truncating(tmp_path, monkeypatch):
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run(["solve", *FIG9_ARGS, "--out", str(tmp_path / "out")]) == 0
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+
 # ---- start-up ----
 
 

@@ -216,7 +216,7 @@ def test_odd_combination_at_small_argument():
                    / (mp.mpf(2) ** (n - 1) * mp.gamma(mp.mpf(n + 1) / 2)))
             assert f_n(n, z) == pytest.approx(float(ref), rel=1e-15, abs=0.0), (n, z)
             assert f_n(n, -z) == -f_n(n, z)
-    assert f_n(0, 1e-20) == pytest.approx(2e-20 / math.sqrt(math.pi), rel=1e-15)
+    assert f_n(0, 1e-20) == pytest.approx(2e-20 / math.sqrt(math.pi), rel=1e-15, abs=0.0)
 
 
 def test_log_form_domain():

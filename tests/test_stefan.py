@@ -807,9 +807,9 @@ def test_profile_face_values_are_the_series_coefficients():
     # apart from the front equation's series.
     for p, _ in _wide_sample(400, seed=11):
         sol = solve_front(p)
-        assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12), p
+        assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12, abs=0.0), p
         slope = 2.0 * math.sqrt(p.d) * sol.temperature_flux(0.0, 1.0)
-        assert slope == pytest.approx(sol.coeff_odd, rel=1e-12), p
+        assert slope == pytest.approx(sol.coeff_odd, rel=1e-12, abs=0.0), p
 
 
 @pytest.mark.parametrize("problem", [
@@ -822,9 +822,9 @@ def test_profile_face_values_are_the_series_coefficients():
 def test_stefan_slope_formed_without_overflow(problem):
     sol = solve_front(problem)
     assert math.isfinite(sol.coeff_odd)
-    assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12)
+    assert sol.temperature(0.0, 1.0) == pytest.approx(sol.coeff_even, rel=1e-12, abs=0.0)
     slope = 2.0 * math.sqrt(problem.d) * sol.temperature_flux(0.0, 1.0)
-    assert slope == pytest.approx(sol.coeff_odd, rel=1e-12)
+    assert slope == pytest.approx(sol.coeff_odd, rel=1e-12, abs=0.0)
     front_slope = 2.0 * math.sqrt(problem.d) * sol.temperature_flux(sol.front_position(1.0), 1.0)
     # f is convex and decreasing in the melt, so |f'(nu)| <= |f'(0)| = |B|.
     assert 0.0 < -front_slope <= -sol.coeff_odd
@@ -916,9 +916,9 @@ def test_front_and_field_where_d_t_underflows():
     # d * t = 1e-330 underflowed: s(t) was 0.0 and eta = 0 / 0 at the face.
     p = ProblemSpec(alpha=0.4, boundary=Temperature(t0=1e-200), d=1e-300)
     sol = solve_front(p)
-    assert sol.front_position(1e-30) == pytest.approx(2.0 * sol.nu * 1e-165, rel=1e-15)
-    assert sol.front_speed(1e-30) == pytest.approx(sol.nu * 1e-135, rel=1e-15)
-    assert sol.temperature(0.0, 1e-30) == pytest.approx(1e-200 * 1e-30**0.2, rel=1e-12)
+    assert sol.front_position(1e-30) == pytest.approx(2.0 * sol.nu * 1e-165, rel=1e-15, abs=0.0)
+    assert sol.front_speed(1e-30) == pytest.approx(sol.nu * 1e-135, rel=1e-15, abs=0.0)
+    assert sol.temperature(0.0, 1e-30) == pytest.approx(1e-200 * 1e-30**0.2, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=100)

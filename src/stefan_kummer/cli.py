@@ -26,7 +26,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import fields
 
 from .equivalence import EquivalenceReport, _convert, equivalence_report
 from .limits import limit_problem
@@ -41,7 +40,7 @@ from .stefan import (
 
 # Each boundary family's data, field name to flag name: the flag is the
 # field's name without underscores (t_inf is --tinf).
-_FAMILY_FLAGS = {family: {f.name: f.name.replace("_", "") for f in fields(family)}
+_FAMILY_FLAGS = {family: {name: name.replace("_", "") for name in family.__match_args__}
                  for family in (Convective, Temperature, Flux)}
 
 

@@ -17,7 +17,6 @@ wrong front coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .stefan import (
     Convective,
@@ -25,6 +24,7 @@ from .stefan import (
     ProblemSpec,
     Temperature,
     _require_family,
+    _Value,
     solve_front,
 )
 
@@ -42,13 +42,14 @@ __all__ = [
 _NX, _NT, _T_SPAN = 20, 20, (0.1, 2.0)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    source_spec: ProblemSpec
-    target_spec: ProblemSpec
-    nu_source: float
-    nu_target: float
-    max_temperature_gap: float
+class EquivalenceReport(_Value):
+    """EquivalenceReport(source_spec, target_spec, nu_source, nu_target, max_temperature_gap)."""
+
+    def __init__(self, source_spec: ProblemSpec, target_spec: ProblemSpec, nu_source: float,
+                 nu_target: float, max_temperature_gap: float):
+        self.__dict__.update(source_spec=source_spec, target_spec=target_spec,
+                             nu_source=nu_source, nu_target=nu_target,
+                             max_temperature_gap=max_temperature_gap)
 
 
 def _solved_face(problem: ProblemSpec, family, op: str) -> tuple[float, float]:
@@ -78,7 +79,7 @@ def _convert(problem: ProblemSpec, source: type, target: type,
         boundary = target(**data)
     except ValueError as exc:  # a datum computed from (A, J), not given
         raise OverflowError(f"{op} computes a datum outside double range: {exc}") from exc
-    return replace(problem, boundary=boundary)
+    return problem.__replace__(boundary=boundary)
 
 
 def convective_to_temperature(problem: ProblemSpec) -> ProblemSpec:

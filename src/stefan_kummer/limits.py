@@ -8,7 +8,6 @@ the limit value and the temperature field converges pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .stefan import (
@@ -16,25 +15,27 @@ from .stefan import (
     ProblemSpec,
     Temperature,
     _require_family,
+    _Value,
     solve_front,
 )
 
 __all__ = ["LimitStudy", "limit_problem", "run_limit_study", "field_convergence_gap"]
 
 
-@dataclass(frozen=True)
-class LimitStudy:
-    base: ProblemSpec
-    h0_grid: tuple[float, ...]
-    nu_values: tuple[float, ...]
-    nu_infinity: float
+class LimitStudy(_Value):
+    """LimitStudy(base, h0_grid, nu_values, nu_infinity): nu along the h0 grid and in the limit."""
+
+    def __init__(self, base: ProblemSpec, h0_grid: tuple[float, ...],
+                 nu_values: tuple[float, ...], nu_infinity: float):
+        self.__dict__.update(base=base, h0_grid=h0_grid, nu_values=nu_values,
+                             nu_infinity=nu_infinity)
 
 
 def limit_problem(base: ProblemSpec) -> ProblemSpec:
     """Temperature-family problem reached in the h0 -> infinity limit:
     the face datum is the bulk coefficient of the base problem."""
     boundary = _require_family(base, Convective, "limit_problem")
-    return replace(base, boundary=Temperature(t0=boundary.t_inf))
+    return base.__replace__(boundary=Temperature(t0=boundary.t_inf))
 
 
 def run_limit_study(base: ProblemSpec, h0_grid: Sequence[float]) -> LimitStudy:
@@ -47,7 +48,7 @@ def run_limit_study(base: ProblemSpec, h0_grid: Sequence[float]) -> LimitStudy:
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("h0_grid must be strictly ascending")
     nu_values = tuple(
-        solve_front(replace(base, boundary=replace(boundary, h0=h))).nu for h in grid
+        solve_front(base.__replace__(boundary=boundary.__replace__(h0=h))).nu for h in grid
     )
     nu_infinity = solve_front(limit_problem(base)).nu
     return LimitStudy(
@@ -70,7 +71,7 @@ def field_convergence_gap(
     t = np.asarray(ts, dtype=float)[:, None]
     if not (x.size and t.size):
         raise ValueError(f"the sample grid is empty: {x.size} x values, {t.size} times")
-    sol_h = solve_front(replace(base, boundary=replace(boundary, h0=h0)))
+    sol_h = solve_front(base.__replace__(boundary=boundary.__replace__(h0=h0)))
     sol_inf = solve_front(limit_problem(base))
     gap = np.abs(sol_h.temperature(x, t) - sol_inf.temperature(x, t)).max()
     return float(gap)

@@ -1,12 +1,12 @@
 """Fixed-grid enthalpy solver used as ground truth for the closed form.
 
 The scheme shares no code with the closed form (it takes only the problem
-data types and their datum check from ``stefan``): it integrates the heat
-equation on a cell-centered grid and tracks the melting front through a
-per-cell latent-heat budget.  Its default warm start is the one place that
-reads the closed form: the front and temperature at the start time of the
-caller's solved closed form, or of ``solve_front``'s when the caller gives
-none, are the initial state (see below).  Cell i (center x_i, width dx)
+data types, their datum check and the value-type base from ``stefan``): it
+integrates the heat equation on a cell-centered grid and tracks the melting
+front through a per-cell latent-heat budget.  Its default warm start is the
+one place that reads the closed form: the front and temperature at the start
+time of the caller's solved closed form, or of ``solve_front``'s when the
+caller gives none, are the initial state (see below).  Cell i (center x_i, width dx)
 carries a per-area heat content H_i; the first
 lam_i = gamma * x_i**alpha * dx of it melts the cell (midpoint rule for the
 position-dependent latent heat) and the excess is sensible heat with
@@ -72,9 +72,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
-from .stefan import Flux, ProblemSpec, SimilaritySolution, _require_positive, solve_front
+from .stefan import Flux, ProblemSpec, SimilaritySolution, _require_positive, _Value, solve_front
 
 __all__ = [
     "OracleConfig",
@@ -91,8 +90,7 @@ _DT_SAFETY = 0.2
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Value):
     """Grid, horizon and start.
 
     domain_length should be at least ~4x the expected final front position
@@ -100,34 +98,34 @@ class OracleConfig:
     front gets close to it.  nx, the number of cells, is an integer >= 50.
     """
 
-    domain_length: float
-    t_end: float
-    nx: int = 2000
-    start_fraction: float = 0.01
-    cold_start: bool = False
-
-    def __post_init__(self):
-        _require_positive("domain_length", self.domain_length)
-        _require_positive("t_end", self.t_end)
-        if not (isinstance(self.nx, numbers.Integral) and self.nx >= 50):
-            raise ValueError(f"nx must be an integer of at least 50, got {self.nx!r}")
-        if not 0.0 < self.start_fraction <= 1.0:
+    def __init__(self, domain_length: float, t_end: float, nx: int = 2000,
+                 start_fraction: float = 0.01, cold_start: bool = False):
+        _require_positive("domain_length", domain_length)
+        _require_positive("t_end", t_end)
+        if not (isinstance(nx, numbers.Integral) and nx >= 50):
+            raise ValueError(f"nx must be an integer of at least 50, got {nx!r}")
+        if not 0.0 < start_fraction <= 1.0:
             raise ValueError("start_fraction must lie in (0, 1]")
-        if self.start_fraction * self.t_end < sys.float_info.min:
-            raise ValueError(f"start time start_fraction * t_end = {self.start_fraction} * "
-                             f"{self.t_end} is below the smallest normal float")
+        if start_fraction * t_end < sys.float_info.min:
+            raise ValueError(f"start time start_fraction * t_end = {start_fraction} * "
+                             f"{t_end} is below the smallest normal float")
+        self.__dict__.update(domain_length=domain_length, t_end=t_end, nx=nx,
+                             start_fraction=start_fraction, cold_start=cold_start)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    problem: ProblemSpec
-    config: OracleConfig
-    x_centers: np.ndarray
-    times: np.ndarray
-    front_positions: np.ndarray
-    temperature_snapshots: tuple[tuple[float, np.ndarray], ...]
-    energy_balance_drift: float
-    newton_iterations: int = 0
+class OracleResult(_Value):
+    """OracleResult(problem, config, x_centers, times, front_positions,
+    temperature_snapshots, energy_balance_drift, newton_iterations=0)."""
+
+    def __init__(self, problem: ProblemSpec, config: OracleConfig, x_centers: np.ndarray,
+                 times: np.ndarray, front_positions: np.ndarray,
+                 temperature_snapshots: tuple[tuple[float, np.ndarray], ...],
+                 energy_balance_drift: float, newton_iterations: int = 0):
+        self.__dict__.update(problem=problem, config=config, x_centers=x_centers, times=times,
+                             front_positions=front_positions,
+                             temperature_snapshots=temperature_snapshots,
+                             energy_balance_drift=energy_balance_drift,
+                             newton_iterations=newton_iterations)
 
     @property
     def n_steps(self) -> int:
@@ -135,10 +133,11 @@ class OracleResult:
         return len(self.times) - 1
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    max_front_err: float
-    max_field_err: float
+class ComparisonReport(_Value):
+    """ComparisonReport(max_front_err, max_field_err): the largest front and field errors."""
+
+    def __init__(self, max_front_err: float, max_field_err: float):
+        self.__dict__.update(max_front_err=max_front_err, max_field_err=max_field_err)
 
 
 def _group(name: str, log_value: float) -> float:

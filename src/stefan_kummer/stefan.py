@@ -65,11 +65,10 @@ All quantities are treated as consistent, nondimensionalized reals.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .kummer import NonConvergenceError, e_n, f_n, gamma_fn, log_kummer_m_scaled
 
@@ -111,19 +110,76 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite real, got {value}")
 
 
-@dataclass(frozen=True)
-class Convective:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass's ``__init__`` checks its arguments and stores them with one
+    ``self.__dict__.update``; its parameters, in order, are the fields,
+    ``__match_args__``.  The base gives equality between objects of the
+    same class by their fields (``NotImplemented`` otherwise), the hash of
+    the field tuple, the repr ``Name(field=value, ...)``, AttributeError on
+    assigning or deleting an attribute, and ``__replace__(**changes)``
+    (``copy.replace`` on Python 3.13+), a copy made by ``__init__`` and so
+    checked again.  A ``cached_property``'s value, the one other entry an
+    instance ``__dict__`` can get, takes no part in equality, hash or repr.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        get = attrgetter(*fields)
+        # The field tuple (attrgetter of one name returns the bare value).
+        values = get if len(fields) > 1 else lambda obj: (get(obj),)
+        cls._values = staticmethod(values)
+        if any(isinstance(value, cached_property)
+               for klass in cls.__mro__ for value in vars(klass).values()):
+            # A cached_property's value joins the fields in the instance __dict__.
+            def __eq__(self, other):
+                if type(other) is cls:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            def __replace__(self, **changes):
+                return cls(**dict(zip(fields, values(self)), **changes))
+        else:
+            # The instance __dict__ holds the fields alone, in order.  Comparing
+            # and copying it is as fast as a dataclass's generated methods; the
+            # field tuples take twice as long.
+            def __eq__(self, other):
+                if type(other) is cls:
+                    return self.__dict__ == other.__dict__
+                return NotImplemented
+
+            def __replace__(self, **changes):
+                return cls(**{**self.__dict__, **changes})
+
+        cls.__eq__, cls.__replace__ = __eq__, __replace__
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Convective(_Value):
     """Heat exchange with a bulk at temperature t_inf * t^{alpha/2},
     transfer coefficient h0 * t^{-1/2}."""
 
-    h0: float
-    t_inf: float
-
-    def __post_init__(self):
-        _require_positive("h0", self.h0)
-        _require_positive("t_inf", self.t_inf)
-        if math.isinf(1.0 / self.h0):
-            raise ValueError(f"h0 must have a finite reciprocal, got {self.h0}")
+    def __init__(self, h0: float, t_inf: float):
+        _require_positive("h0", h0)
+        _require_positive("t_inf", t_inf)
+        if math.isinf(1.0 / h0):
+            raise ValueError(f"h0 must have a finite reciprocal, got {h0}")
+        self.__dict__.update(h0=h0, t_inf=t_inf)
 
     def face_relation(self) -> tuple[float, float, float]:
         """(p, q, g) of the face relation p A + q J = g: the balance
@@ -132,28 +188,24 @@ class Convective:
         return 1.0, -1.0 / self.h0, self.t_inf
 
 
-@dataclass(frozen=True)
-class Temperature:
+class Temperature(_Value):
     """Imposed face temperature t0 * t^{alpha/2}."""
 
-    t0: float
-
-    def __post_init__(self):
-        _require_positive("t0", self.t0)
+    def __init__(self, t0: float):
+        _require_positive("t0", t0)
+        self.__dict__.update(t0=t0)
 
     def face_relation(self) -> tuple[float, float, float]:
         """(p, q, g) of the face relation p A + q J = g."""
         return 1.0, 0.0, self.t0
 
 
-@dataclass(frozen=True)
-class Flux:
+class Flux(_Value):
     """Imposed inward face heat flux c * t^{(alpha-1)/2}."""
 
-    c: float
-
-    def __post_init__(self):
-        _require_positive("c", self.c)
+    def __init__(self, c: float):
+        _require_positive("c", c)
+        self.__dict__.update(c=c)
 
     def face_relation(self) -> tuple[float, float, float]:
         """(p, q, g) of the face relation p A + q J = g."""
@@ -163,8 +215,7 @@ class Flux:
 Boundary = Convective | Temperature | Flux
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Value):
     """Physical data for one melting problem.
 
     alpha is the latent-heat exponent (>= 0), gamma the latent-heat
@@ -173,20 +224,16 @@ class ProblemSpec:
     is the mirror image obtained by negating gamma and the boundary datum.
     """
 
-    alpha: float
-    boundary: Boundary
-    gamma: float = 1.0
-    d: float = 1.0
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha must be a finite real >= 0, got {self.alpha}")
-        _require_positive("gamma", self.gamma)
-        _require_positive("d", self.d)
-        _require_positive("k", self.k)
-        if not isinstance(self.boundary, (Convective, Temperature, Flux)):
-            raise ValueError(f"unsupported boundary condition {self.boundary!r}")
+    def __init__(self, alpha: float, boundary: Boundary, gamma: float = 1.0,
+                 d: float = 1.0, k: float = 1.0):
+        if not (math.isfinite(alpha) and alpha >= 0.0):
+            raise ValueError(f"alpha must be a finite real >= 0, got {alpha}")
+        _require_positive("gamma", gamma)
+        _require_positive("d", d)
+        _require_positive("k", k)
+        if not isinstance(boundary, (Convective, Temperature, Flux)):
+            raise ValueError(f"unsupported boundary condition {boundary!r}")
+        self.__dict__.update(alpha=alpha, boundary=boundary, gamma=gamma, d=d, k=k)
 
 
 def _require_family(problem: ProblemSpec, family: type, op: str) -> Boundary:
@@ -197,10 +244,11 @@ def _require_family(problem: ProblemSpec, family: type, op: str) -> Boundary:
     return problem.boundary
 
 
-@dataclass(frozen=True)
-class SolverReport:
-    iterations: int
-    residual: float
+class SolverReport(_Value):
+    """SolverReport(iterations, residual): steps taken and expm1 of G at the root."""
+
+    def __init__(self, iterations: int, residual: float):
+        self.__dict__.update(iterations=iterations, residual=residual)
 
 
 def _times_exp(g: float, log_g: float, x: float) -> float:
@@ -383,8 +431,7 @@ def _pieces(nodes, rows, shifts, exponent: int, scale: float):
     return lower[j], nodes[:-1][j], np.diff(nodes)[j], coeffs[:, j]
 
 
-@dataclass(frozen=True)
-class SimilaritySolution:
+class SimilaritySolution(_Value):
     """Solved closed form: front coefficient plus field evaluators.
 
     ``front_position``, ``temperature`` and ``temperature_flux`` take floats,
@@ -405,11 +452,10 @@ class SimilaritySolution:
     is 0, as near the front, where f(0) / f'(nu) grows like exp(nu**2).
     """
 
-    problem: ProblemSpec
-    nu: float
-    coeff_even: float
-    coeff_odd: float
-    solver_report: SolverReport
+    def __init__(self, problem: ProblemSpec, nu: float, coeff_even: float, coeff_odd: float,
+                 solver_report: SolverReport):
+        self.__dict__.update(problem=problem, nu=nu, coeff_even=coeff_even,
+                             coeff_odd=coeff_odd, solver_report=solver_report)
 
     def front_position(self, t):
         """s(t) = 2 nu sqrt(d) sqrt(t) for finite t >= 0."""
@@ -444,6 +490,7 @@ class SimilaritySolution:
         condition -k u_x = gamma s**alpha ds/dt gives
         f'(nu) = -(gamma / k) sqrt(d) (2 nu sqrt(d))**(alpha+1), formed in
         34-digit decimal arithmetic, whose exponent range holds every factor."""
+        import decimal
         p, dec = self.problem, decimal.Decimal
         nodes, rows, shifts, face = _profile_walk(p.alpha, self.nu, 0.0)
         exponent = 1 - math.frexp(face)[1] - shifts[-1]

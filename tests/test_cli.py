@@ -941,6 +941,8 @@ def test_out_opens_without_truncating(tmp_path, monkeypatch):
 
 _SCALAR_PATH = """
 import os, sys
+# Modules that site loaded before the package do not count.
+before = set(sys.modules)
 import stefan_kummer as sk
 from stefan_kummer import cli
 
@@ -953,9 +955,11 @@ fig9_args = ["--alpha", "0.4", "--h0", "0.5", "--tinf", "1", "--out", os.devnull
 assert cli.main(["solve", *fig9_args]) == 0
 assert cli.main(["sweep", "--vary", "h0", "--values", "0.5,5", "--include-limit",
                  *fig9_args]) == 0
-assert "numpy" not in sys.modules, "the scalar path imported numpy"
+imported = {"numpy", "dataclasses", "inspect", "decimal"} & (set(sys.modules) - before)
+assert not imported, f"the scalar path imported {sorted(imported)}"
 u = sol.temperature(0.1, 1.0)
 assert type(u) is float
+assert "decimal" in sys.modules, "the first field evaluation did not import decimal"
 print(repr(u))
 """
 
@@ -967,6 +971,6 @@ def test_scalar_path_starts_without_numpy():
     child = subprocess.run([sys.executable, "-c", _SCALAR_PATH], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    # The first field evaluation imports numpy inside the function.
+    # The first field evaluation imports numpy and decimal inside the function.
     fig9 = ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0))
     assert float(child.stdout) == solve_front(fig9).temperature(0.1, 1.0)

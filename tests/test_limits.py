@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -154,7 +153,8 @@ def test_field_gap_beyond_series_range_raises():
     base = ProblemSpec(alpha=0.4, boundary=Convective(h0=1.0, t_inf=1.0))
     with mp.workdps(60):
         u = [mp_field(mp, p, mp_front_root(mp, p, solve_front(p).nu), 30.0, 1.0)[0]
-             for p in (replace(base, boundary=Convective(h0=2.0, t_inf=1.0)), limit_problem(base))]
+             for p in (base.__replace__(boundary=Convective(h0=2.0, t_inf=1.0)),
+                       limit_problem(base))]
     gap = field_convergence_gap(base, 2.0, (30.0,), (1.0,))
     assert abs(gap - float(abs(u[0] - u[1]))) <= 1e-14 * float(max(abs(u[0]), abs(u[1])))
     with pytest.raises(ValueError, match="at most 30"):

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -74,6 +75,58 @@ def test_nonpositive_material_data_rejected():
     for kwargs in ({"d": 0.0}, {"k": -1.0}, {"gamma": 0.0}):
         with pytest.raises(ValueError):
             ProblemSpec(alpha=1.0, boundary=Flux(c=1.0), **kwargs)
+
+
+# ---- value types ----
+
+
+def test_value_type_contract():
+    # The repr is the one error messages embed as {problem!r}.
+    assert repr(FIG9) == ("ProblemSpec(alpha=0.4, boundary=Convective(h0=0.5, t_inf=1.0), "
+                          "gamma=1.0, d=1.0, k=1.0)")
+    assert repr(SolverReport(3, 0.0)) == "SolverReport(iterations=3, residual=0.0)"
+    for obj, name in ((FIG9, "alpha"), (FIG9.boundary, "h0"), (Flux(c=1.0), "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert FIG9.alpha == 0.4 and FIG9.boundary.h0 == 0.5
+    # Equal data of different families are different problems.
+    assert (ProblemSpec(alpha=0.4, boundary=Temperature(t0=1.0))
+            != ProblemSpec(alpha=0.4, boundary=Flux(c=1.0)))
+    assert Temperature(t0=1.0).__eq__(Flux(c=1.0)) is NotImplemented
+    twin = ProblemSpec(0.4, Convective(0.5, 1.0))
+    assert twin == FIG9 and twin is not FIG9 and hash(twin) == hash(FIG9)
+    assert hash(Flux(c=2.0)) == hash((2.0,))
+    match FIG9:
+        case ProblemSpec(alpha, Convective(h0, t_inf)):
+            assert (alpha, h0, t_inf) == (0.4, 0.5, 1.0)
+        case _:
+            pytest.fail("ProblemSpec did not match its positional pattern")
+    # __replace__ builds through the constructor, so its checks run again.
+    assert FIG9.__replace__(gamma=2.0) == ProblemSpec(alpha=0.4, boundary=FIG9.boundary, gamma=2.0)
+    with pytest.raises(ValueError, match="h0 must be a positive finite real"):
+        FIG9.boundary.__replace__(h0=-1.0)
+    with pytest.raises(TypeError):
+        FIG9.__replace__(h0=1.0)
+    assert pickle.loads(pickle.dumps(FIG9)) == FIG9
+    # A solution's cached field pieces take no part in equality, hash or repr,
+    # and a replaced solution walks its own.
+    sol, fresh = solve_front(FIG9), solve_front(FIG9)
+    sol.temperature(0.1, 1.0)
+    assert "_melt" in vars(sol) and "_melt" not in vars(fresh)
+    assert sol == fresh and hash(sol) == hash(fresh) and repr(sol) == repr(fresh)
+    fresh.temperature(0.2, 1.0)
+    assert sol == fresh and sol != sol.__replace__(nu=0.5)
+    assert "_melt" not in vars(sol.__replace__(nu=sol.nu))
+    assert pickle.loads(pickle.dumps(sol)) == fresh
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_on_value_types():
+    assert copy.replace(FIG9, k=3.0) == ProblemSpec(alpha=0.4, boundary=FIG9.boundary, k=3.0)
+    with pytest.raises(ValueError, match="k must be a positive finite real"):
+        copy.replace(FIG9, k=0.0)
 
 
 # ---- front equation ----
@@ -543,7 +596,7 @@ def test_field_past_series_overflow_against_mpmath():
     sol = solve_front(p)
     with mp.workdps(60 + int(sol.nu**2 / 2.3)):
         nu = float(mp_front_root(mp, p, sol.nu))
-        at = dataclasses.replace(sol, nu=nu)
+        at = sol.__replace__(nu=nu)
         xs = at.front_position(t) * np.arange(10) / 10
         u, u_x = at.temperature(xs, t), at.temperature_flux(xs, t)
         ref = [mp_field(mp, p, nu, x, t) for x in xs.tolist()]
@@ -731,7 +784,7 @@ def test_field_against_mpmath_on_wide_sample():
         sol = solve_front(p)
         with mp.workdps(60 + int(sol.nu**2 / 2.3)):
             nu = float(mp_front_root(mp, p, sol.nu))
-            at = dataclasses.replace(sol, nu=nu)
+            at = sol.__replace__(nu=nu)
             xs = at.front_position(t) * np.arange(20) / 20
             u, u_x = at.temperature(xs, t), at.temperature_flux(xs, t)
             ref = [mp_field(mp, p, nu, x, t) for x in xs.tolist()]
